@@ -49,6 +49,7 @@ from .fusion import (
 from .temporal import (
     FeaturePair,
     FusionModel,
+    NonFiniteFrameError,
     StreamState,
     build_model,
     fuse_clip,
@@ -118,6 +119,7 @@ __all__ = [
     "unpatch",
     "FeaturePair",
     "FusionModel",
+    "NonFiniteFrameError",
     "StreamState",
     "build_model",
     "init_stream",

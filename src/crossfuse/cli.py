@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--full-scale", action="store_true",
                     help="profile the built-in full-scale geometry instead")
     pr.add_argument("--latency", action="store_true", help="also measure wall-clock latency")
-    pr.add_argument("--reps", type=int, default=10)
+    pr.add_argument("--reps", type=int, default=20)
     pr.add_argument("--warmup", type=int, default=3)
     pr.add_argument("--json", help="write the JSON report to this path")
     pr.set_defaults(fn=cmd_profile)

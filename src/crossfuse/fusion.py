@@ -2,14 +2,18 @@
 
 One fusion stage takes an RGB/thermal feature-map pair (H, W, C), adds
 learned positional and modality embeddings, and runs K parallel heads. Head
-k space-to-depth patches both maps at its own patch size S_k, interleave-
-flattens the pair into a token sequence, projects tokens down to C/K, and
-runs a stack of gated SSM blocks over them. The head's token outputs are
-projected back up, un-flattened, and residually added to its patched
-inputs. After de-patching, head outputs are concatenated channelwise and a
-zero-initialized pointwise aggregation projects K*C back to C, which is
-residually added to the original (un-embedded) inputs. A fresh stage is
-therefore the identity map.
+k space-to-depth patches both maps at its own patch size S_k and interleave-
+flattens the pair into a token sequence, both in one gather (see
+``interleave``), projects tokens down to C/K, and runs a stack of gated SSM
+blocks over them. The head's token outputs are projected back up, scattered
+back to the (H, W, C) maps, and residually added to its embedded inputs.
+Head outputs are concatenated channelwise and a zero-initialized pointwise
+aggregation projects K*C back to C, which is residually added to the
+original (un-embedded) inputs. A fresh stage is therefore the identity map.
+
+``patch`` and ``unpatch`` spell space-to-depth out as reshapes and a
+transpose; the stage no longer runs them, and they stay as the reference the
+gathers are tested against.
 
 An optional carry token per head is prepended before the block stack (the
 temporal module threads it between frames); its output position is dropped
@@ -319,10 +323,8 @@ def stage_forward(
     up_rgb, up_thm, head_tokens = [], [], []
     for k, head in enumerate(params.heads):
         s = head.patch_size
-        p_rgb = patch(e_rgb, s)
-        p_thm = patch(e_thm, s)
-        layout = build_layout(cfg.height // s, cfg.width // s)
-        z = ocf_flatten(p_rgb, p_thm, layout)
+        layout = build_layout(cfg.height // s, cfg.width // s, s)
+        z = ocf_flatten(e_rgb, e_thm, layout)
         x = T.matmul(z, head.w_in)
         carry = carries[k] if carries is not None else None
         if carry is not None:
@@ -337,8 +339,8 @@ def stage_forward(
         feats = T.narrow(tokens, 0, 1, layout.tokens) if carry is not None else tokens
         y = T.linear(feats, head.out_w, head.out_b)
         r_delta, t_delta = ocf_unflatten(y, layout)
-        up_rgb.append(unpatch(T.add(p_rgb, r_delta), s))
-        up_thm.append(unpatch(T.add(p_thm, t_delta), s))
+        up_rgb.append(T.add(e_rgb, r_delta))
+        up_thm.append(T.add(e_thm, t_delta))
 
     cat_rgb = up_rgb[0] if len(up_rgb) == 1 else T.concat(up_rgb, axis=2)
     cat_thm = up_thm[0] if len(up_thm) == 1 else T.concat(up_thm, axis=2)

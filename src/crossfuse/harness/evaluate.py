@@ -33,7 +33,7 @@ from ..metrics import (
     recall,
     write_boxes_jsonl,
 )
-from ..tensor import Tensor
+from ..tensor import Tensor, _sigmoid_np
 from ..tensorio import load_checkpoint
 from .model import DetectionModel
 from .synthetic import Dataset
@@ -41,15 +41,6 @@ from .synthetic import Dataset
 __all__ = ["evaluate", "decode_frame", "load_detector", "DEFAULT_SETTINGS"]
 
 DEFAULT_SETTINGS = (SETTING_ALL, SETTING_REASONABLE, SETTING_REASONABLE_SMALL)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def decode_frame(preds: dict[str, Tensor], cfg: dict, confidence_floor: float) -> list[Box]:
@@ -60,11 +51,11 @@ def decode_frame(preds: dict[str, Tensor], cfg: dict, confidence_floor: float) -
         p = preds[stage].data
         stride = STAGE_STRIDES[stage]
         anchor = float(anchors[stage])
-        conf = _sigmoid(p[:, :, 4])
+        conf = _sigmoid_np(p[:, :, 4])
         keep = np.argwhere(conf >= confidence_floor)
         if keep.size == 0:
             continue
-        txy = _sigmoid(p[:, :, 0:2])
+        txy = _sigmoid_np(p[:, :, 0:2])
         wh = anchor * np.exp(np.clip(p[:, :, 2:4], -10.0, 10.0))
         for i, j in keep:
             cx = (j + txy[i, j, 0]) * stride

@@ -19,6 +19,7 @@ from .. import tensor as T
 from ..config import STAGE_NAMES, STAGE_STRIDES, config_model_hash
 from ..metrics import Box
 from ..tensor import Graph, Tensor, backward, register_op
+from ..temporal import NonFiniteFrameError
 from ..tensorio import save_checkpoint
 from .model import DetectionModel
 from .synthetic import Dataset
@@ -188,9 +189,12 @@ def train(
         gts = [clip.gt[f["frame_id"]] for f in clip.frames]
 
         params = model.named_parameters()
-        with Graph() as graph:
-            loss = clip_loss(model, frames, gts)
-        loss_value = loss.item()
+        try:
+            with Graph() as graph:
+                loss = clip_loss(model, frames, gts)
+            loss_value = loss.item()
+        except NonFiniteFrameError:
+            loss_value = math.nan  # the features diverged before the loss did
         if not math.isfinite(loss_value):
             diag = {
                 "step": step,

@@ -1,19 +1,24 @@
 """Order-aware interleaved flattening of RGB/thermal feature-map pairs.
 
-A pair of (rows, cols, channels) maps becomes a single (2*rows*cols,
-channels) token sequence. Rows are visited top to bottom; within a row the
-even columns come first left to right, then the odd columns in reverse
-(columns cols-1, cols-3, ... when cols is even), so horizontally adjacent
-pixels sit near each other in the 1-d order. Each visited pixel emits its
-RGB token immediately followed by its thermal token, which is what lets a
-causal sequence model mix the two spectra at matching positions.
+A pair of (rows*S, cols*S, channels) maps becomes a single (2*rows*cols,
+channels*S^2) token sequence, for a patch size S (1 by default). Each token
+is one S x S block of a map, space-to-depth packed: block-row-major with the
+channels fastest, channel index (si*S + sj)*channels + c. Blocks are visited
+top to bottom; within a row of blocks the even columns come first left to
+right, then the odd columns in reverse (columns cols-1, cols-3, ... when
+cols is even), so horizontally adjacent blocks sit near each other in the
+1-d order. Each visited block emits its RGB token immediately followed by
+its thermal token, which is what lets a causal sequence model mix the two
+spectra at matching positions.
 
-The layout is a pure permutation, cached per (rows, cols), with an exact
-inverse.
+The layout is a pure permutation of pixels, cached per (rows, cols, S),
+with an exact inverse. Flattening is one gather of pixel rows and
+un-flattening one gather per modality, each a single ``take_rows`` op.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -23,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor, register_op
 
-__all__ = ["OcfLayout", "build_layout", "ocf_flatten", "ocf_unflatten"]
+__all__ = ["OcfLayout", "build_layout", "ocf_flatten", "ocf_unflatten", "space_to_depth"]
 
 TAKE_OP = "take_rows"
 
@@ -31,21 +36,41 @@ RGB = 0
 THERMAL = 1
 
 
-def _take_rows_fwd(x, indices=None):
+def _take_rows_fwd(*arrays, indices=None, width=None, shape=None, distinct=False):
+    """Rows of the inputs, stacked in order, picked by ``indices``.
+
+    Each input is viewed as rows of ``width`` values and the picked rows are
+    reshaped to ``shape``; without them, a row is everything past the first
+    axis of the input. ``distinct`` promises that no index repeats, which
+    lets the adjoint assign rows instead of scatter-adding them.
+    """
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ShapeError(f"take_rows: indices must be 1-d, got shape {idx.shape}")
-    if x.ndim < 1:
+    if arrays[0].ndim < 1:
         raise ShapeError("take_rows: input must have at least one axis")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for axis of size {x.shape[0]}")
-    return np.ascontiguousarray(x[idx]), {"indices": idx, "rows": x.shape[0]}
+    if width is None:
+        width = math.prod(arrays[0].shape[1:])
+        shape = (idx.size,) + arrays[0].shape[1:]
+    rows = [a.reshape(-1, width) for a in arrays]
+    stacked = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    if idx.size and (idx.min() < 0 or idx.max() >= stacked.shape[0]):
+        raise ShapeError(f"take_rows: index out of range for {stacked.shape[0]} rows")
+    ctx = {"indices": idx, "rows": [r.shape[0] for r in rows], "shapes": [a.shape for a in arrays],
+           "distinct": distinct}
+    return stacked[idx].reshape(shape), ctx
 
 
 def _take_rows_bwd(ctx, g):
-    out = np.zeros((ctx["rows"],) + g.shape[1:], dtype=g.dtype)
-    np.add.at(out, ctx["indices"], g)
-    return (out,)
+    idx = ctx["indices"]
+    g_rows = g.reshape(idx.size, -1)
+    stacked = np.zeros((sum(ctx["rows"]), g_rows.shape[1]), dtype=g.dtype)
+    if ctx["distinct"]:
+        stacked[idx] = g_rows
+    else:
+        np.add.at(stacked, idx, g_rows)
+    ends = np.cumsum(ctx["rows"])
+    return tuple(stacked[end - n:end].reshape(shape) for n, end, shape in zip(ctx["rows"], ends, ctx["shapes"]))
 
 
 register_op(TAKE_OP, _take_rows_fwd, _take_rows_bwd)
@@ -53,12 +78,13 @@ register_op(TAKE_OP, _take_rows_fwd, _take_rows_bwd)
 
 @dataclass(frozen=True)
 class OcfLayout:
-    """Token permutation for one (rows, cols) grid.
+    """Token permutation for one (rows, cols) grid of S x S blocks.
 
-    ``order[t]`` gives (modality, row, col) of token t, with modality 0 for
-    RGB and 1 for thermal. ``gather`` holds the same thing as flat indices
-    into the stacked [rgb; thermal] row-major array, and ``scatter`` is its
-    inverse.
+    ``order[t]`` gives (modality, row, col) of token t on the block grid,
+    with modality 0 for RGB and 1 for thermal. ``gather`` holds, token by
+    token and then block-row-major within the token, the flat index of each
+    pixel in the stacked [rgb; thermal] row-major (rows*S, cols*S) maps, and
+    ``scatter`` is its inverse. With S = 1 both are token permutations.
     """
 
     rows: int
@@ -66,6 +92,7 @@ class OcfLayout:
     order: tuple[tuple[int, int, int], ...]
     gather: np.ndarray
     scatter: np.ndarray
+    patch: int = 1
 
     @property
     def tokens(self) -> int:
@@ -79,44 +106,63 @@ def _column_order(cols: int) -> list[int]:
     return evens + odds
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size, dtype=perm.dtype)
+    return inv
+
+
 @lru_cache(maxsize=None)
-def build_layout(rows: int, cols: int) -> OcfLayout:
+def _block_pixels(rows: int, cols: int, patch: int) -> np.ndarray:
+    """(rows*cols, patch^2) flat pixel indices of every S x S block of a
+    (rows*S, cols*S) map, blocks row-major, pixels block-row-major."""
+    r = np.arange(rows)[:, None, None, None] * patch + np.arange(patch)[None, None, :, None]
+    c = np.arange(cols)[None, :, None, None] * patch + np.arange(patch)[None, None, None, :]
+    return _frozen((r * (cols * patch) + c).reshape(rows * cols, patch * patch))
+
+
+@lru_cache(maxsize=None)
+def build_layout(rows: int, cols: int, patch: int = 1) -> OcfLayout:
     if rows < 1 or cols < 1:
         raise ValueError(f"layout needs rows >= 1 and cols >= 1, got ({rows}, {cols})")
+    if patch < 1:
+        raise ValueError(f"patch size must be >= 1, got {patch}")
     order: list[tuple[int, int, int]] = []
     for r in range(rows):
         for c in _column_order(cols):
             order.append((RGB, r, c))
             order.append((THERMAL, r, c))
-    hw = rows * cols
-    gather = np.array([m * hw + r * cols + c for (m, r, c) in order], dtype=np.int64)
-    scatter = np.empty_like(gather)
-    scatter[gather] = np.arange(gather.size, dtype=np.int64)
-    gather.flags.writeable = False
-    scatter.flags.writeable = False
-    return OcfLayout(rows=rows, cols=cols, order=tuple(order), gather=gather, scatter=scatter)
+    blocks = _block_pixels(rows, cols, patch)
+    pixels = rows * cols * patch * patch
+    gather = np.concatenate([m * pixels + blocks[r * cols + c] for (m, r, c) in order])
+    return OcfLayout(rows=rows, cols=cols, order=tuple(order), gather=_frozen(gather),
+                     scatter=_frozen(_inverse(gather)), patch=patch)
 
 
 def ocf_flatten(rgb: Tensor, thermal: Tensor, layout: Optional[OcfLayout] = None) -> Tensor:
     """Interleave an RGB/thermal map pair into one token sequence.
 
-    Both inputs must be (rows, cols, channels) with identical shapes; the
-    result is (2*rows*cols, channels).
+    Both inputs must be (rows*S, cols*S, channels) with identical shapes; the
+    result is (2*rows*cols, channels*S^2). Without a layout S is 1.
     """
     if rgb.ndim != 3 or thermal.ndim != 3:
         raise ShapeError(f"ocf_flatten: maps must be rank-3, got {rgb.shape} and {thermal.shape}")
     if rgb.shape != thermal.shape:
         raise ShapeError(f"ocf_flatten: map shapes differ, {rgb.shape} vs {thermal.shape}")
-    rows, cols, channels = rgb.shape
+    height, width, channels = rgb.shape
     if layout is None:
-        layout = build_layout(rows, cols)
-    elif (layout.rows, layout.cols) != (rows, cols):
-        raise ShapeError(f"ocf_flatten: layout is {layout.rows}x{layout.cols}, maps are {rows}x{cols}")
-    hw = rows * cols
-    flat_r = T.reshape(rgb, (hw, channels))
-    flat_t = T.reshape(thermal, (hw, channels))
-    stacked = T.concat([flat_r, flat_t], axis=0)
-    return T.op_forward(TAKE_OP, (stacked,), indices=layout.gather)
+        layout = build_layout(height, width)
+    elif (layout.rows * layout.patch, layout.cols * layout.patch) != (height, width):
+        raise ShapeError(f"ocf_flatten: layout is {layout.rows}x{layout.cols} blocks of "
+                         f"{layout.patch}x{layout.patch}, maps are {height}x{width}")
+    shape = (layout.tokens, channels * layout.patch * layout.patch)
+    return T.op_forward(TAKE_OP, (rgb, thermal), indices=layout.gather, width=channels,
+                        shape=shape, distinct=True)
 
 
 def ocf_unflatten(tokens: Tensor, layout: OcfLayout) -> tuple[Tensor, Tensor]:
@@ -128,11 +174,29 @@ def ocf_unflatten(tokens: Tensor, layout: OcfLayout) -> tuple[Tensor, Tensor]:
             f"ocf_unflatten: got {tokens.shape[0]} tokens, layout {layout.rows}x{layout.cols} "
             f"requires {layout.tokens}"
         )
-    channels = tokens.shape[1]
-    hw = layout.rows * layout.cols
-    stacked = T.op_forward(TAKE_OP, (tokens,), indices=layout.scatter)
-    flat_r = T.narrow(stacked, 0, 0, hw)
-    flat_t = T.narrow(stacked, 0, hw, hw)
-    rgb = T.reshape(flat_r, (layout.rows, layout.cols, channels))
-    thermal = T.reshape(flat_t, (layout.rows, layout.cols, channels))
-    return rgb, thermal
+    s = layout.patch
+    if tokens.shape[1] % (s * s):
+        raise ShapeError(f"ocf_unflatten: token width {tokens.shape[1]} is not divisible by {s}^2")
+    channels = tokens.shape[1] // (s * s)
+    pixels = layout.scatter.size // 2
+    shape = (layout.rows * s, layout.cols * s, channels)
+    return tuple(
+        T.op_forward(TAKE_OP, (tokens,), indices=layout.scatter[m * pixels:(m + 1) * pixels],
+                     width=channels, shape=shape, distinct=True)
+        for m in (RGB, THERMAL)
+    )
+
+
+def space_to_depth(x: Tensor, size: int) -> Tensor:
+    """(H, W, C) -> (H/size, W/size, C*size^2) as one gather, packed like a
+    layout's tokens: channel index (si*size + sj)*C + c."""
+    if x.ndim != 3:
+        raise ShapeError(f"space_to_depth: input must be (H, W, C), got {x.shape}")
+    h, w, c = x.shape
+    if size < 1:
+        raise ValueError(f"patch size must be >= 1, got {size}")
+    if h % size or w % size:
+        raise ShapeError(f"space_to_depth: size {size} does not divide map {h}x{w}")
+    blocks = _block_pixels(h // size, w // size, size)
+    return T.op_forward(TAKE_OP, (x,), indices=blocks.reshape(-1), width=c,
+                        shape=(h // size, w // size, size * size * c), distinct=True)

@@ -17,6 +17,7 @@ single-frame stage forwards on this machine, single process.
 
 from __future__ import annotations
 
+import math
 import platform
 import statistics
 import time
@@ -39,6 +40,7 @@ __all__ = [
     "count_params",
     "count_flops",
     "bench_latency",
+    "nearest_rank",
     "profile",
     "render_table",
     "full_scale_configs",
@@ -181,6 +183,12 @@ def _machine_descriptor() -> str:
     return f"{platform.platform()} / {platform.machine()} / python {platform.python_version()}"
 
 
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """The q-quantile by nearest rank: the ceil(q*n)-th smallest of n values."""
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
 def bench_latency(
     configs: Sequence[StageConfig],
     reps: int = 10,
@@ -188,6 +196,9 @@ def bench_latency(
     seed: int = 0,
 ) -> dict[str, dict[str, float]]:
     """Median/p95 wall-clock per single-frame stage forward, in milliseconds.
+
+    p95 is taken by nearest rank, so with fewer than 20 reps it is the
+    slowest sample.
 
     ``reps`` must be at least 10 and ``warmup`` at least 3 so the medians are
     not dominated by allocator and cache warmup.
@@ -211,16 +222,8 @@ def bench_latency(
             stage_forward(params, rgb, thm)
             times.append((time.perf_counter() - t0) * 1e3)
         totals += np.array(times)
-        times.sort()
-        out[cfg.name] = {
-            "median_ms": statistics.median(times),
-            "p95_ms": times[min(reps - 1, int(0.95 * reps))],
-        }
-    total_sorted = np.sort(totals)
-    out["total"] = {
-        "median_ms": float(np.median(totals)),
-        "p95_ms": float(total_sorted[min(reps - 1, int(0.95 * reps))]),
-    }
+        out[cfg.name] = {"median_ms": statistics.median(times), "p95_ms": nearest_rank(times, 0.95)}
+    out["total"] = {"median_ms": float(np.median(totals)), "p95_ms": float(nearest_rank(totals, 0.95))}
     return out
 
 

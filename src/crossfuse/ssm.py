@@ -13,9 +13,13 @@ so it stays strictly negative, and delta goes through a softplus so it
 stays strictly positive; together these keep |A_bar| < 1 and the recurrence
 stable regardless of parameter values.
 
-The full-sequence recurrence is exposed both as ``selective_scan`` (a single
-registered graph op with an analytic adjoint, so the tape stays small) and
-as ``scan_step`` (one token at a time, for streaming inference).
+The whole sequence runs as one registered op, ``ssm_scan``: the B and delta
+projections, the softplus, A = -exp(a_log), the recurrence and the readout
+y = sum_n w_out * h in one tape node. Its forward runs the kernels of the
+chain of core ops it replaces and its adjoint runs their adjoints in reverse
+tape order, so results equal that chain's bit for bit, with one dispatch
+instead of twelve. ``scan_step`` advances one
+token at a time for streaming inference.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "discretize",
     "scan_step",
     "scan_sequence",
-    "selective_scan",
     "init_ssm",
     "init_block",
     "block_forward",
@@ -144,30 +147,24 @@ def discretize(a, b, delta):
     return a_bar, np.broadcast_to(b_bar, a_bar.shape).copy()
 
 
-def _scan_fwd(x, delta, b_seq, a, state0):
+def _recurrence_fwd(x, delta, b_seq, a, state0):
+    """h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t over the whole sequence."""
     length, channels = x.shape
     n = a.shape[1]
-    if delta.shape != (length, channels):
-        raise ShapeError(f"ssm_scan: delta shape {delta.shape} != {(length, channels)}")
-    if b_seq.shape != (length, n):
-        raise ShapeError(f"ssm_scan: B sequence shape {b_seq.shape} != {(length, n)}")
-    if a.shape != (channels, n):
-        raise ShapeError(f"ssm_scan: A shape {a.shape} != {(channels, n)}")
-    if state0.shape != (channels, n):
-        raise ShapeError(f"ssm_scan: initial state shape {state0.shape} != {(channels, n)}")
     d_a = np.exp(delta[:, :, None] * a[None])              # (L, C, N)
     d_bx = (delta * x)[:, :, None] * b_seq[:, None, :]     # (L, C, N)
     h_all = np.empty((length, channels, n), dtype=x.dtype)
     h = state0
-    for t in range(length):
-        h = d_a[t] * h + d_bx[t]
-        h_all[t] = h
+    for d_a_t, d_bx_t, h_t in zip(d_a, d_bx, h_all):
+        np.multiply(d_a_t, h, out=h_t)
+        np.add(h_t, d_bx_t, out=h_t)
+        h = h_t
     ctx = {"x": x, "delta": delta, "b_seq": b_seq, "a": a,
            "state0": state0, "d_a": d_a, "h_all": h_all}
     return h_all, ctx
 
 
-def _scan_bwd(ctx, g):
+def _recurrence_bwd(ctx, g):
     x, delta, b_seq, a = ctx["x"], ctx["delta"], ctx["b_seq"], ctx["a"]
     state0, d_a, h_all = ctx["state0"], ctx["d_a"], ctx["h_all"]
     length = x.shape[0]
@@ -175,10 +172,8 @@ def _scan_bwd(ctx, g):
     g_dbx = np.empty_like(d_a)
     acc = np.zeros_like(state0)
     for t in range(length - 1, -1, -1):
-        acc = acc + g[t]
-        h_prev = h_all[t - 1] if t > 0 else state0
-        g_da[t] = acc * h_prev
-        g_dbx[t] = acc
+        acc = np.add(acc, g[t], out=g_dbx[t])
+        np.multiply(acc, h_all[t - 1] if t > 0 else state0, out=g_da[t])
         acc = d_a[t] * acc
     g_state0 = acc
     dx_delta = delta * x
@@ -189,31 +184,72 @@ def _scan_bwd(ctx, g):
     return g_x, g_delta, g_b, g_a, g_state0
 
 
+def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None, final_state=False):
+    """The whole selective scan of ``scan_sequence`` as one op.
+
+    Runs the same kernels, in the same order, as the chain of core ops it
+    replaces (projections, softplus, A = -exp(a_log), recurrence, readout),
+    so the outputs are bit-identical to that chain. Returns y (L, C), or
+    with ``final_state`` y stacked over the transposed last state (L + N, C).
+    """
+    length, channels = x.shape
+    n = a_log.shape[1]
+    has_state0 = state0 is not None
+    if not has_state0:
+        state0 = np.zeros((channels, n), dtype=x.dtype)
+    elif state0.shape != (channels, n):
+        raise ShapeError(f"ssm_scan: initial state shape {state0.shape} != {(channels, n)}")
+    b_seq, c_b = T._matmul_fwd(x, w_b)                  # (L, N)
+    low, c_low = T._matmul_fwd(x, dt_down)              # (L, R)
+    up, c_up = T._matmul_fwd(low, dt_up)                # (L, C)
+    pre, c_pre = T._add_fwd(up, dt_bias)
+    delta, c_delta = T._softplus_fwd(pre)
+    e_a, c_ea = T._exp_fwd(a_log)                       # A = -exp(a_log), (C, N)
+    h_all, c_scan = _recurrence_fwd(x, delta, b_seq, -e_a, state0)
+    prod, c_prod = T._mul_fwd(h_all, w_out)
+    y, c_y = T._sum_fwd(prod, axis=-1)                  # (L, C)
+    if final_state:
+        y = np.concatenate([y, h_all[-1].T])
+    ctx = {"b": c_b, "low": c_low, "up": c_up, "pre": c_pre, "delta": c_delta, "ea": c_ea,
+           "scan": c_scan, "prod": c_prod, "y": c_y, "length": length, "has_state0": has_state0}
+    return y, ctx
+
+
+def _scan_bwd(ctx, g):
+    """Adjoints of the replaced chain, run in its reverse tape order."""
+    length = ctx["length"]
+    g_prod, = T._sum_bwd(ctx["y"], g[:length])
+    g_h_all, g_w_out = T._mul_bwd(ctx["prod"], g_prod)
+    if g.shape[0] > length:  # the final state's rows
+        g_h_all[-1] += g[length:].T
+    g_x, g_delta, g_b, g_a, g_state0 = _recurrence_bwd(ctx["scan"], g_h_all)
+    g_a_log, = T._exp_bwd(ctx["ea"], -g_a)
+    g_pre, = T._softplus_bwd(ctx["delta"], g_delta)
+    g_up, g_dt_bias = T._add_bwd(ctx["pre"], g_pre)
+    g_low, g_dt_up = T._matmul_bwd(ctx["up"], g_up)
+    g_x_delta, g_dt_down = T._matmul_bwd(ctx["low"], g_low)
+    g_x_b, g_w_b = T._matmul_bwd(ctx["b"], g_b)
+    grads = ((g_x + g_x_delta) + g_x_b, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out)
+    return grads + (g_state0,) if ctx["has_state0"] else grads
+
+
 register_op(SCAN_OP, _scan_fwd, _scan_bwd)
 
 
-def selective_scan(x: Tensor, delta: Tensor, b_seq: Tensor, a: Tensor, state0: Tensor) -> Tensor:
-    """All hidden states of h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t.
-
-    Args:
-        x:      (L, C) input tokens.
-        delta:  (L, C) positive step sizes.
-        b_seq:  (L, N) per-token input maps.
-        a:      (C, N) diagonal continuous A (negative for stability).
-        state0: (C, N) initial hidden state (h_0).
-
-    Returns:
-        (L, C, N) tensor of h_1..h_L.
-    """
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"selective_scan: tokens must be (length >= 1, channels), got {x.shape}")
-    return T.op_forward(SCAN_OP, (x, delta, b_seq, a, state0))
-
-
-def _project_delta(params: SSMParams, tokens: Tensor) -> Tensor:
-    low = T.matmul(tokens, params.dt_down)
-    pre = T.add(T.matmul(low, params.dt_up), params.dt_bias)
-    return T.softplus(pre)
+def _scan(params: SSMParams, tokens: Tensor, state0: Optional[SSMState], final_state: bool) -> Tensor:
+    if tokens.ndim != 2:
+        raise ShapeError(f"scan_sequence: tokens must be rank-2, got shape {tokens.shape}")
+    length, channels = tokens.shape
+    if length < 1:
+        raise ShapeError("scan_sequence: empty sequence")
+    if channels != params.channels:
+        raise ShapeError(f"scan_sequence: tokens have {channels} channels, params expect {params.channels}")
+    inputs = (tokens, params.w_b, params.dt_down, params.dt_up, params.dt_bias, params.a_log, params.w_out)
+    if state0 is not None:
+        if state0.h.shape != (channels, params.state_size):
+            raise ShapeError(f"scan_sequence: state shape {state0.h.shape} != {(channels, params.state_size)}")
+        inputs += (state0.h,)
+    return T.op_forward(SCAN_OP, inputs, final_state=final_state)
 
 
 def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] = None) -> tuple[Tensor, SSMState]:
@@ -222,24 +258,10 @@ def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] 
     Returns per-token outputs (L, C) and the final hidden state. Identical
     (to float32 roundoff) to folding ``scan_step`` over the sequence.
     """
-    if tokens.ndim != 2:
-        raise ShapeError(f"scan_sequence: tokens must be rank-2, got shape {tokens.shape}")
-    length, channels = tokens.shape
-    if length < 1:
-        raise ShapeError("scan_sequence: empty sequence")
-    if channels != params.channels:
-        raise ShapeError(f"scan_sequence: tokens have {channels} channels, params expect {params.channels}")
-    if state0 is None:
-        state0 = SSMState.zeros(channels, params.state_size, dtype=tokens.dtype)
-    if state0.h.shape != (channels, params.state_size):
-        raise ShapeError(f"scan_sequence: state shape {state0.h.shape} != {(channels, params.state_size)}")
-
-    b_seq = T.matmul(tokens, params.w_b)                     # (L, N)
-    delta = _project_delta(params, tokens)                   # (L, C)
-    a = T.scale(T.exp(params.a_log), -1.0)                   # (C, N)
-    h_all = selective_scan(tokens, delta, b_seq, a, state0.h)
-    y = T.reduce_sum(T.mul(h_all, params.w_out), axis=-1)    # (L, C)
-    last = T.reshape(T.narrow(h_all, 0, length - 1, 1), (channels, params.state_size))
+    out = _scan(params, tokens, state0, final_state=True)
+    length = tokens.shape[0]
+    y = T.narrow(out, 0, 0, length)
+    last = T.transpose(T.narrow(out, 0, length, params.state_size), (1, 0))
     return y, SSMState(last)
 
 
@@ -264,8 +286,10 @@ def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, 
     pre = (x @ params.dt_down.data) @ params.dt_up.data + params.dt_bias.data
     delta_t = np.logaddexp(np.array(0.0, dtype=pre.dtype), pre)        # (C,)
     a = -np.exp(params.a_log.data)
-    a_bar, b_bar = discretize(a, b_t, delta_t)
-    h_new = a_bar * state.h.data + b_bar * x[:, None]
+    a_bar, _ = discretize(a, b_t, delta_t)
+    # (delta * x) * B in the sequence scan's order, so the two differ only by
+    # the rounding of the projections.
+    h_new = a_bar * state.h.data + (delta_t * x)[:, None] * b_t[None, :]
     y = (params.w_out.data * h_new).sum(axis=-1)
     return Tensor(y), SSMState(Tensor(h_new))
 
@@ -422,7 +446,7 @@ def block_forward(block: MambaBlockParams, tokens: Tensor) -> Tensor:
     a = T.matmul(n, block.in_w)
     c = T.conv1d_causal(a, block.conv_k, block.conv_b)
     s = T.silu(c)
-    y, _ = scan_sequence(block.ssm, s)
+    y = _scan(block.ssm, s, None, final_state=False)
     g = T.silu(T.matmul(n, block.gate_w))
     mixed = T.mul(y, g)
     out = T.linear(mixed, block.out_w, block.out_b)

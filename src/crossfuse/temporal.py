@@ -28,6 +28,7 @@ from .tensorio import load_checkpoint, save_checkpoint
 __all__ = [
     "FeaturePair",
     "FusionModel",
+    "NonFiniteFrameError",
     "StreamState",
     "build_model",
     "config_hash",
@@ -37,6 +38,10 @@ __all__ = [
     "save_stream_state",
     "load_stream_state",
 ]
+
+
+class NonFiniteFrameError(ValueError):
+    """A streamed frame holds a NaN or an infinity; the stream state is untouched."""
 
 
 @dataclass
@@ -153,6 +158,12 @@ def _check_pyramid(model: FusionModel, pyramid: dict[str, FeaturePair]) -> None:
     missing = [n for n in model.stage_names if n not in pyramid]
     if missing:
         raise ShapeError(f"pyramid is missing stages {missing}")
+    # One non-finite value would poison every carry and so every later frame.
+    for name in model.stage_names:
+        pair = pyramid[name]
+        for modality, t in (("rgb", pair.rgb), ("thermal", pair.thermal)):
+            if not np.isfinite(t.data).all():
+                raise NonFiniteFrameError(f"stage {name}: {modality} feature map is not finite")
 
 
 def fuse_next(
@@ -160,7 +171,12 @@ def fuse_next(
     state: StreamState,
     pyramid: dict[str, FeaturePair],
 ) -> tuple[dict[str, FeaturePair], StreamState]:
-    """Fuse one frame's feature pyramid and advance the carries."""
+    """Fuse one frame's feature pyramid and advance the carries.
+
+    A frame whose feature maps hold a NaN or an infinity raises
+    ``NonFiniteFrameError`` before anything runs, so ``state`` stays usable
+    for the next frame.
+    """
     if state.model_hash != model.hash:
         raise ValueError(
             "stream state belongs to a different model config "

@@ -14,6 +14,7 @@ path.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -202,11 +203,11 @@ class Graph:
         self.parameters: dict[str, Tensor] = {}
 
     def __enter__(self) -> "Graph":
-        _graph_stack().append(self)
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _graph_stack()
+        stack = _tls.stack
         if not stack or stack[-1] is not self:
             raise GraphError("graph context exited out of order")
         stack.pop()
@@ -215,20 +216,12 @@ class Graph:
         return len(self.nodes)
 
 
-_tls = threading.local()
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.stack: list[Graph] = []
 
 
-def _graph_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def _active_graph() -> Optional[Graph]:
-    stack = _graph_stack()
-    return stack[-1] if stack else None
+_tls = _ThreadState()
 
 
 def op_forward(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
@@ -236,14 +229,21 @@ def op_forward(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     opdef = _OP_REGISTRY.get(kind)
     if opdef is None:
         raise KeyError(f"unknown op kind {kind!r}")
-    for i, t in enumerate(inputs):
-        if not isinstance(t, Tensor):
-            raise TypeError(f"{kind}: input {i} is {type(t).__name__}, expected Tensor")
-    arrays = [t.data for t in inputs]
+    arrays = [t.data for t in inputs if isinstance(t, Tensor)]
+    if len(arrays) != len(inputs):
+        i, t = next((i, t) for i, t in enumerate(inputs) if not isinstance(t, Tensor))
+        raise TypeError(f"{kind}: input {i} is {type(t).__name__}, expected Tensor")
     out_arr, ctx = opdef.forward(*arrays, **attrs)
-    out = Tensor(out_arr)
-    graph = _active_graph()
-    if graph is not None:
+    if type(out_arr) is np.ndarray and out_arr.flags.c_contiguous and out_arr.dtype.char in "fd":
+        # A kernel's fresh output already meets every check __init__ makes.
+        out = object.__new__(Tensor)
+        out_arr.flags.writeable = False
+        out.data, out.name, out.trainable = out_arr, None, False
+    else:
+        out = Tensor(out_arr)
+    stack = _tls.stack
+    if stack:
+        graph = stack[-1]
         graph.nodes.append(Node(kind, tuple(inputs), out, ctx))
         for t in inputs:
             if t.trainable:
@@ -518,12 +518,9 @@ def _layer_norm_bwd(ctx, g):
 
 
 def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function of an array, overflow-free: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _silu_fwd(x):
@@ -599,7 +596,7 @@ def _slice_bwd(ctx, g):
 
 def _reshape_fwd(x, shape=()):
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} ({x.size} elements) as {shape}")
     return x.reshape(shape), {"shape": x.shape}
 

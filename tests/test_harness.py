@@ -542,3 +542,43 @@ def test_evaluate_reset_every_changes_nothing_for_stateless_fusers(tmp_path):
     a = evaluate(model, ds, reset_every=None)
     b = evaluate(model, ds, reset_every=1)
     assert a["settings"] == b["settings"]
+
+
+# ---------------------------------------------------------------------------
+# Dispatch budget: ops per streamed frame and tape nodes per training clip
+# ---------------------------------------------------------------------------
+
+def test_desk_frame_dispatches_at_most_160_ops(monkeypatch):
+    from crossfuse.temporal import fuse_next, init_stream
+
+    model = DetectionModel(normalize_config({"schema_version": 1, "seed": 0, "fuser": "mambast"}))
+    rng = np.random.default_rng(0)
+    rgb = Tensor(rng.random((64, 64, 3), dtype=np.float32))
+    thm = Tensor(rng.random((64, 64, 1), dtype=np.float32))
+    calls = []
+    original = T.op_forward
+
+    def counting(kind, *args, **kwargs):
+        calls.append(kind)
+        return original(kind, *args, **kwargs)
+
+    monkeypatch.setattr(T, "op_forward", counting)
+    fused, _ = fuse_next(model.fusion, init_stream(model.fusion), model.backbone_forward(rgb, thm))
+    model.head_forward(fused)
+    assert 0 < len(calls) <= 160, f"{len(calls)} ops per frame"
+
+
+def test_acceptance_11_clip_records_at_most_700_tape_nodes(tmp_path):
+    cfg = _cfg(fuser="mambast", data={"frames": 3, "blob_size_min": 10, "blob_size_max": 16,
+                                      "blob_speed_max": 0.25, "occlusion": "last_frame", "clips": 1},
+               model={"stages": [
+                   {"stage": "f1", "heads": 2, "patch_sizes": [1, 4], "layers": 1},
+                   {"stage": "f2", "heads": 1, "patch_sizes": [2], "layers": 1},
+                   {"stage": "f3", "heads": 1, "patch_sizes": [1], "layers": 1}]},
+               train={"lr": 0.005, "box_weight": 3.0})
+    ds = _dataset(cfg, tmp_path)
+    clip = ds.clips[0]
+    model = DetectionModel(cfg)
+    with Graph() as g:
+        clip_loss(model, [ds.load_frame(f) for f in clip.frames], [clip.gt[f["frame_id"]] for f in clip.frames])
+    assert 0 < len(g) <= 700, f"{len(g)} tape nodes per clip"

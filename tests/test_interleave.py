@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfuse import tensor as T
+from crossfuse.fusion import patch, unpatch
 from crossfuse.interleave import (
     RGB,
     THERMAL,
@@ -17,8 +18,9 @@ from crossfuse.interleave import (
     build_layout,
     ocf_flatten,
     ocf_unflatten,
+    space_to_depth,
 )
-from crossfuse.tensor import Graph, ShapeError, Tensor, backward, op_forward
+from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check, op_forward
 
 
 def _grids(rows, cols, channels=1, seed=0):
@@ -202,3 +204,103 @@ def test_take_rows_rejects_out_of_range_index():
 def test_layout_validates_dimensions():
     with pytest.raises(ValueError, match="rows >= 1"):
         build_layout(0, 3)
+
+
+# ---------------------------------------------------------------------------
+# Patched layouts against space-to-depth followed by the token permutation
+# ---------------------------------------------------------------------------
+
+def _chained_flatten(rgb, thm, size):
+    """patch, then the unpatched flatten as it was composed from core ops."""
+    p_rgb, p_thm = patch(rgb, size), patch(thm, size)
+    rows, cols, packed = p_rgb.shape
+    stacked = T.concat([T.reshape(p_rgb, (rows * cols, packed)), T.reshape(p_thm, (rows * cols, packed))], axis=0)
+    return op_forward("take_rows", (stacked,), indices=build_layout(rows, cols).gather)
+
+
+def _chained_unflatten(tokens, rows, cols, size):
+    """The unpatched unflatten as it was composed from core ops, then unpatch."""
+    layout = build_layout(rows, cols)
+    packed = tokens.shape[1]
+    stacked = op_forward("take_rows", (tokens,), indices=layout.scatter)
+    hw = rows * cols
+    halves = (T.narrow(stacked, 0, 0, hw), T.narrow(stacked, 0, hw, hw))
+    return tuple(unpatch(T.reshape(h, (rows, cols, packed)), size) for h in halves)
+
+
+def _weighted_sum(outputs, rng):
+    loss = None
+    for out in outputs:
+        term = T.reduce_sum(T.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
+        loss = term if loss is None else T.add(loss, term)
+    return loss
+
+
+def _run(fn, inputs, seed):
+    params = [T.parameter(a, f"p{i}") for i, a in enumerate(inputs)]
+    with Graph() as g:
+        outputs = fn(*params)
+        outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+        loss = _weighted_sum(outputs, np.random.default_rng(seed))
+    grads = backward(g, loss)
+    return [o.data for o in outputs], [grads[p.name].data for p in params]
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=5),
+    cols=st.integers(min_value=1, max_value=5),
+    channels=st.integers(min_value=1, max_value=3),
+    size=st.sampled_from([1, 2, 4, 8]),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+def test_patched_layout_equals_patch_then_flatten(rows, cols, channels, size, seed):
+    rng = np.random.default_rng(seed)
+    maps = [rng.normal(size=(rows * size, cols * size, channels)).astype(np.float32) for _ in range(2)]
+    tokens = rng.normal(size=(2 * rows * cols, channels * size * size)).astype(np.float32)
+    layout = build_layout(rows, cols, size)
+
+    got = _run(lambda r, t: ocf_flatten(r, t, layout), maps, seed)
+    _assert_same(got[0] + got[1], sum(_run(lambda r, t: _chained_flatten(r, t, size), maps, seed), []))
+
+    got = _run(lambda y: ocf_unflatten(y, layout), [tokens], seed)
+    want = _run(lambda y: _chained_unflatten(y, rows, cols, size), [tokens], seed)
+    _assert_same(got[0] + got[1], want[0] + want[1])
+
+    got = _run(lambda x: space_to_depth(x, size), maps[:1], seed)
+    _assert_same(got[0] + got[1], sum(_run(lambda x: patch(x, size), maps[:1], seed), []))
+
+
+def test_patched_layout_adjoints_pass_grad_check():
+    rng = np.random.default_rng(4)
+    layout = build_layout(2, 1, 2)
+    weights = Tensor(rng.normal(size=(4, 8)))
+    params = {
+        "rgb": T.parameter(rng.normal(size=(4, 2, 2)), "rgb"),
+        "thm": T.parameter(rng.normal(size=(4, 2, 2)), "thm"),
+    }
+
+    def f(p):
+        tokens = T.mul(ocf_flatten(p["rgb"], p["thm"], layout), weights)
+        back_rgb, back_thm = ocf_unflatten(tokens, layout)
+        return T.add(T.reduce_sum(T.mul(back_rgb, back_rgb)), T.reduce_sum(back_thm))
+
+    report = grad_check(f, params)
+    assert report.max_rel_error < 1e-6, report
+
+
+def test_patched_layout_gather_lists_block_pixels():
+    # A 1x2 grid of 2x2 blocks over a 2x4 map: RGB block 0 is pixels 0, 1,
+    # 4, 5 of the row-major map, thermal pixels are offset by 8, and block 1
+    # (the odd column) comes second.
+    layout = build_layout(1, 2, 2)
+    np.testing.assert_array_equal(
+        layout.gather, [0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15])
+    with pytest.raises(ShapeError, match="layout"):
+        ocf_flatten(*_grids(2, 2), layout)

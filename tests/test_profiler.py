@@ -20,6 +20,7 @@ from crossfuse.profiler import (
     count_params,
     full_scale_configs,
     head_param_count,
+    nearest_rank,
     profile,
     render_table,
     stage_flop_count,
@@ -238,3 +239,10 @@ def test_profile_with_latency_fills_stage_rows():
     assert s.latency_ms_p95 >= s.latency_ms_median
     assert report.total_latency_ms_median is not None
     assert "lat ms" in render_table(report)
+
+
+def test_nearest_rank_p95_is_not_the_maximum_at_twenty_samples():
+    samples = [float(v) for v in np.random.default_rng(0).permutation(20) + 1]
+    assert nearest_rank(samples, 0.95) == 19.0
+    assert nearest_rank(samples, 0.5) == 10.0
+    assert nearest_rank(samples[:10], 0.95) == max(samples[:10])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfuse import ssm as ssm_mod
 from crossfuse import tensor as T
 from crossfuse.ssm import (
     MambaBlockParams,
@@ -393,3 +394,95 @@ def test_block_gradients_flow_to_every_family():
     grads = backward(g, loss)
     for name, grad in grads.items():
         assert float(np.abs(grad.data).max()) > 0.0, f"zero gradient for {name}"
+
+
+# ---------------------------------------------------------------------------
+# The fused scan op against the chain of core ops it replaces
+# ---------------------------------------------------------------------------
+
+# The recurrence alone as a taped op, so the oracle below records the same
+# twelve-node chain that scan_sequence recorded before the scan was fused.
+T.register_op("test_recurrence", ssm_mod._recurrence_fwd, ssm_mod._recurrence_bwd)
+
+
+def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
+    length, channels = tokens.shape
+    if state0 is None:
+        state0 = SSMState.zeros(channels, params.state_size)
+    b_seq = T.matmul(tokens, params.w_b)
+    low = T.matmul(tokens, params.dt_down)
+    delta = T.softplus(T.add(T.matmul(low, params.dt_up), params.dt_bias))
+    a = T.scale(T.exp(params.a_log), -1.0)
+    h_all = T.op_forward("test_recurrence", (tokens, delta, b_seq, a, state0.h))
+    y = T.reduce_sum(T.mul(h_all, params.w_out), axis=-1)
+    last = T.reshape(T.narrow(h_all, 0, length - 1, 1), (channels, params.state_size))
+    return y, SSMState(last)
+
+
+def _assert_same_bits(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert np.array_equal(got, want), f"{what}: max diff {np.abs(got - want).max()}"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    channels=st.integers(min_value=1, max_value=6),
+    state=st.integers(min_value=1, max_value=5),
+    rank=st.integers(min_value=1, max_value=3),
+    length=st.integers(min_value=1, max_value=12),
+    carry=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_fused_scan_equals_composed_chain_bit_for_bit(channels, state, rank, length, carry, seed):
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, channels, state, rank)
+    tokens = T.parameter(rng.normal(0, 1.0, (length, channels)).astype(np.float32), "s.x")
+    h0 = T.parameter(rng.normal(0, 0.5, (channels, state)).astype(np.float32), "s.h0")
+    w_y = Tensor(rng.normal(size=(length, channels)).astype(np.float32))
+    w_h = Tensor(rng.normal(size=(channels, state)).astype(np.float32))
+
+    def run(scan):
+        with Graph() as g:
+            y, last = scan(params, tokens, SSMState(h0) if carry else None)
+            loss = T.add(T.reduce_sum(T.mul(y, w_y)), T.reduce_sum(T.mul(last.h, w_h)))
+        return y, last, backward(g, loss)
+
+    y, last, grads = run(scan_sequence)
+    y_ref, last_ref, grads_ref = run(_composed_scan)
+    _assert_same_bits(y.data, y_ref.data, "y")
+    _assert_same_bits(last.h.data, last_ref.h.data, "final state")
+    assert sorted(grads) == sorted(grads_ref)
+    for name in grads:
+        _assert_same_bits(grads[name].data, grads_ref[name].data, name)
+
+
+def test_block_scan_is_one_op_and_matches_the_sequence_scan():
+    rng = np.random.default_rng(12)
+    params = _random_params(rng, 4, 3, 1)
+    tokens = Tensor(rng.normal(size=(6, 4)).astype(np.float32))
+    with Graph() as g:
+        y = ssm_mod._scan(params, tokens, None, final_state=False)
+    assert [n.kind for n in g.nodes] == ["ssm_scan"]
+    y_seq, _ = scan_sequence(params, tokens)
+    _assert_same_bits(y.data, y_seq.data, "y")
+
+
+def test_fused_scan_gradients_without_state_match_finite_differences():
+    rng = np.random.default_rng(13)
+    base = _random_params(rng, 3, 2, 1)
+    tokens = rng.normal(0, 0.8, (4, 3))
+    params = dict(base.named("s"))
+    params["s.x"] = T.parameter(tokens.astype(np.float32), "s.x")
+
+    def f(p):
+        sp = SSMParams(
+            a_log=p["s.A_log"], w_b=p["s.w_b"], dt_down=p["s.dt_down"],
+            dt_up=p["s.dt_up"], dt_bias=p["s.dt_bias"], w_out=p["s.w_out"],
+        )
+        y = ssm_mod._scan(sp, p["s.x"], None, final_state=False)
+        return T.reduce_sum(T.mul(y, y))
+
+    report = grad_check(f, params)
+    assert report.max_rel_error < 1e-3, (
+        f"worst {report.worst_param}[{report.worst_index}] = {report.max_rel_error:.3e}"
+    )

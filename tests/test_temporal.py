@@ -13,6 +13,7 @@ from crossfuse.fusion import StageConfig
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward
 from crossfuse.temporal import (
     FeaturePair,
+    NonFiniteFrameError,
     build_model,
     config_hash,
     fuse_clip,
@@ -282,3 +283,29 @@ def test_model_stage_lookup():
     assert model.stage("f2").config.name == "f2"
     with pytest.raises(KeyError, match="no stage named"):
         model.stage("f9")
+
+
+def test_non_finite_frame_is_rejected_and_leaves_the_stream_usable():
+    # One NaN pixel used to turn that frame and every later one all-NaN.
+    configs = [StageConfig(name="f1", height=4, width=4, channels=4, heads=2,
+                           patch_sizes=(1, 2), layers=1, state_size=2, conv_kernel=2)]
+    model = _activate(build_model(configs, seed=0), np.random.default_rng(20))
+    clip = _clip(configs, 5, seed=21)
+    bad = clip[1]["f1"].thermal.data.copy()
+    bad[2, 3, 1] = np.nan
+    clip[1]["f1"] = FeaturePair(stage="f1", rgb=clip[1]["f1"].rgb, thermal=Tensor(bad))
+
+    state = init_stream(model)
+    streamed = []
+    for t, pyramid in enumerate(clip):
+        if t == 1:
+            with pytest.raises(NonFiniteFrameError, match="stage f1: thermal"):
+                fuse_next(model, state, pyramid)
+            continue
+        out, state = fuse_next(model, state, pyramid)
+        streamed.append(out)
+    assert state.frame_index == 4
+    expected = fuse_clip(model, [clip[t] for t in (0, 2, 3, 4)])
+    for got, want in zip(streamed, expected, strict=True):
+        for pair_got, pair_want in ((got["f1"].rgb, want["f1"].rgb), (got["f1"].thermal, want["f1"].thermal)):
+            np.testing.assert_array_equal(pair_got.data, pair_want.data)
