@@ -18,13 +18,8 @@ projections, the softplus, A = -exp(a_log), the recurrence and the readout
 y = sum_n w_out * h in one tape node. Its forward runs the kernels of the
 chain of core ops it replaces and its adjoint runs their adjoints in reverse
 tape order, so results equal that chain's bit for bit, with one dispatch
-instead of twelve. The one kernel of its own is the projection: the three
-token projections are summed by numpy instead of BLAS, so a token's B and
-delta do not depend on how many tokens share the call (BLAS picks its
-kernel, and with it the summation order, by the matrix shape).
-``scan_step`` advances one token at a time for streaming inference by
-running the same kernel on a one-token sequence, so folding it over a
-sequence gives the sequence scan's outputs and state.
+instead of twelve. ``scan_step`` advances one
+token at a time for streaming inference.
 """
 
 from __future__ import annotations
@@ -189,31 +184,13 @@ def _recurrence_bwd(ctx, g):
     return g_x, g_delta, g_b, g_a, g_state0
 
 
-def _project_fwd(x, w):
-    """x @ w with each row summed the same way whatever the number of rows.
-
-    A BLAS matmul does not give that: it picks a different kernel for one
-    row, for one column and for each tile shape, and each sums in its own
-    order, so row t of X @ W can differ from X[t] @ W in the last bit. The
-    values here are those of ``(x[:, :, None] * w).sum(axis=1)``, float32
-    products summed over the input channels by numpy, without its (L, C, N)
-    temporary: einsum sums in the same order for several columns, and a
-    single column is a pairwise row sum. The adjoint is
-    ``tensor._matmul_bwd``.
-    """
-    if w.shape[1] == 1:
-        return (x * w[:, 0]).sum(axis=1, keepdims=True), {"a": x, "b": w}
-    return np.einsum("lc,cn->ln", x, w), {"a": x, "b": w}
-
-
 def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None, final_state=False):
     """The whole selective scan of ``scan_sequence`` as one op.
 
     Runs the same kernels, in the same order, as the chain of core ops it
     replaces (projections, softplus, A = -exp(a_log), recurrence, readout),
-    so the outputs are bit-identical to that chain, with ``_project_fwd`` as
-    the projection. Returns y (L, C), or with ``final_state`` y stacked over
-    the transposed last state (L + N, C).
+    so the outputs are bit-identical to that chain. Returns y (L, C), or
+    with ``final_state`` y stacked over the transposed last state (L + N, C).
     """
     length, channels = x.shape
     n = a_log.shape[1]
@@ -222,9 +199,9 @@ def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None, final_
         state0 = np.zeros((channels, n), dtype=x.dtype)
     elif state0.shape != (channels, n):
         raise ShapeError(f"ssm_scan: initial state shape {state0.shape} != {(channels, n)}")
-    b_seq, c_b = _project_fwd(x, w_b)                   # (L, N)
-    low, c_low = _project_fwd(x, dt_down)               # (L, R)
-    up, c_up = _project_fwd(low, dt_up)                 # (L, C)
+    b_seq, c_b = T._matmul_fwd(x, w_b)                  # (L, N)
+    low, c_low = T._matmul_fwd(x, dt_down)              # (L, R)
+    up, c_up = T._matmul_fwd(low, dt_up)                # (L, C)
     pre, c_pre = T._add_fwd(up, dt_bias)
     delta, c_delta = T._softplus_fwd(pre)
     e_a, c_ea = T._exp_fwd(a_log)                       # A = -exp(a_log), (C, N)
@@ -278,8 +255,8 @@ def _scan(params: SSMParams, tokens: Tensor, state0: Optional[SSMState], final_s
 def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] = None) -> tuple[Tensor, SSMState]:
     """Run the selective scan over a whole token sequence.
 
-    Returns per-token outputs (L, C) and the final hidden state. Folding
-    ``scan_step`` over the sequence gives the same outputs and state.
+    Returns per-token outputs (L, C) and the final hidden state. Identical
+    (to float32 roundoff) to folding ``scan_step`` over the sequence.
     """
     out = _scan(params, tokens, state0, final_state=True)
     length = tokens.shape[0]
@@ -304,10 +281,17 @@ def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, 
         raise ShapeError(
             f"scan_step: state shape {state.h.shape} != {(params.channels, params.state_size)}"
         )
-    out, _ = _scan_fwd(x_t.data[None], params.w_b.data, params.dt_down.data, params.dt_up.data,
-                       params.dt_bias.data, params.a_log.data, params.w_out.data,
-                       state0=state.h.data, final_state=True)
-    return Tensor(out[0]), SSMState(Tensor(np.ascontiguousarray(out[1:].T)))
+    x = x_t.data
+    b_t = x @ params.w_b.data                                          # (N,)
+    pre = (x @ params.dt_down.data) @ params.dt_up.data + params.dt_bias.data
+    delta_t = np.logaddexp(np.array(0.0, dtype=pre.dtype), pre)        # (C,)
+    a = -np.exp(params.a_log.data)
+    a_bar, _ = discretize(a, b_t, delta_t)
+    # (delta * x) * B in the sequence scan's order, so the two differ only by
+    # the rounding of the projections.
+    h_new = a_bar * state.h.data + (delta_t * x)[:, None] * b_t[None, :]
+    y = (params.w_out.data * h_new).sum(axis=-1)
+    return Tensor(y), SSMState(Tensor(h_new))
 
 
 # ---------------------------------------------------------------------------

@@ -402,22 +402,16 @@ def test_block_gradients_flow_to_every_family():
 
 # The recurrence alone as a taped op, so the oracle below records the same
 # twelve-node chain that scan_sequence recorded before the scan was fused.
-# The projections are ssm._project_fwd, a matmul that sums rows independently.
 T.register_op("test_recurrence", ssm_mod._recurrence_fwd, ssm_mod._recurrence_bwd)
-T.register_op("test_projection", ssm_mod._project_fwd, T._matmul_bwd)
-
-
-def _project(x: Tensor, w: Tensor) -> Tensor:
-    return T.op_forward("test_projection", (x, w))
 
 
 def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
     length, channels = tokens.shape
     if state0 is None:
         state0 = SSMState.zeros(channels, params.state_size)
-    b_seq = _project(tokens, params.w_b)
-    low = _project(tokens, params.dt_down)
-    delta = T.softplus(T.add(_project(low, params.dt_up), params.dt_bias))
+    b_seq = T.matmul(tokens, params.w_b)
+    low = T.matmul(tokens, params.dt_down)
+    delta = T.softplus(T.add(T.matmul(low, params.dt_up), params.dt_bias))
     a = T.scale(T.exp(params.a_log), -1.0)
     h_all = T.op_forward("test_recurrence", (tokens, delta, b_seq, a, state0.h))
     y = T.reduce_sum(T.mul(h_all, params.w_out), axis=-1)
@@ -461,20 +455,6 @@ def test_fused_scan_equals_composed_chain_bit_for_bit(channels, state, rank, len
     for name in grads:
         _assert_same_bits(grads[name].data, grads_ref[name].data, name)
 
-
-@pytest.mark.parametrize("channels,columns", [(1, 1), (5, 1), (16, 1), (5, 4), (16, 16), (64, 3)])
-def test_projection_rows_do_not_depend_on_the_other_rows(channels, columns):
-    rng = np.random.default_rng(channels * 100 + columns)
-    w = rng.normal(size=(channels, columns)).astype(np.float32)
-    x = rng.normal(size=(129, channels)).astype(np.float32)
-    full, _ = ssm_mod._project_fwd(x, w)
-    for length in (1, 2, 9, 33):
-        part, _ = ssm_mod._project_fwd(x[:length], w)
-        _assert_same_bits(part, full[:length], f"first {length} rows")
-    for t in (0, 8, 128):
-        row, _ = ssm_mod._project_fwd(x[t:t + 1], w)
-        _assert_same_bits(row[0], full[t], f"row {t}")
-    _assert_same_bits(full, (x[:, :, None] * w).sum(axis=1), "broadcast form")
 
 def test_block_scan_is_one_op_and_matches_the_sequence_scan():
     rng = np.random.default_rng(12)
