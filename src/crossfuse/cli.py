@@ -35,7 +35,7 @@ from .profiler import (
     stage_param_count,
 )
 from .ssm import SSMParams, scan_sequence
-from .temporal import build_model, fuse_clip, FeaturePair
+from .temporal import build_model, fuse_clip, walk_parameters, FeaturePair
 from .tensor import Graph, Tensor, grad_check
 from .tensorio import load_checkpoint, save_checkpoint
 
@@ -243,7 +243,7 @@ def _check_param_count() -> None:
     cfg = StageConfig(name="f2", height=4, width=4, channels=8, heads=2,
                       patch_sizes=(1, 2), layers=2, state_size=4)
     params = init_stage(cfg, np.random.default_rng(1))
-    walked = sum(int(np.prod(t.shape)) for t in params.named(cfg.name).values())
+    walked = sum(t.size for _, _, t in walk_parameters(params))
     closed = stage_param_count(cfg)
     if walked != closed:
         raise AssertionError(f"closed-form params {closed} != walked sum {walked}")

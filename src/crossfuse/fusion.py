@@ -95,35 +95,19 @@ class EmbeddingSet:
     rgb: Tensor      # (C,)
     thermal: Tensor  # (C,)
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.pos": self.pos,
-            f"{prefix}.rgb": self.rgb,
-            f"{prefix}.thermal": self.thermal,
-        }
-
 
 @dataclass
 class HeadParams:
+    # Field order is the order ``walk_parameters`` lists the parameters in.
     patch_size: int
     w_in: Tensor                      # (C * S^2, head_dim), no bias
-    blocks: list[MambaBlockParams]
     out_w: Tensor                     # (head_dim, C * S^2)
     out_b: Tensor                     # (C * S^2,)
+    blocks: list[MambaBlockParams]
 
     @property
     def head_dim(self) -> int:
         return self.w_in.shape[1]
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.w_in": self.w_in,
-            f"{prefix}.out_linear.w": self.out_w,
-            f"{prefix}.out_linear.b": self.out_b,
-        }
-        for i, b in enumerate(self.blocks):
-            out.update(b.named(f"{prefix}.layer{i}"))
-        return out
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -218,14 +202,6 @@ class StageParams:
     agg_w: Tensor  # (heads * C, C), zero at init
     agg_b: Tensor  # (C,), zero at init
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = self.embeddings.named(f"{prefix}.emb")
-        for i, h in enumerate(self.heads):
-            out.update(h.named(f"{prefix}.head{i}"))
-        out[f"{prefix}.agg.w"] = self.agg_w
-        out[f"{prefix}.agg.b"] = self.agg_b
-        return out
-
 
 @dataclass
 class StageResult:
@@ -272,9 +248,9 @@ def init_stage(config: StageConfig, rng: np.random.Generator, prefix: Optional[s
             HeadParams(
                 patch_size=s,
                 w_in=p(f"head{i}.w_in", w_in),
-                blocks=blocks,
                 out_w=p(f"head{i}.out_linear.w", out_w),
                 out_b=p(f"head{i}.out_linear.b", np.zeros(packed, dtype=np.float32)),
+                blocks=blocks,
             )
         )
     return StageParams(

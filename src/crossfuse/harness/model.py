@@ -23,7 +23,7 @@ import numpy as np
 from .. import tensor as T
 from ..config import backbone_widths, config_model_hash, stage_configs_from, STAGE_NAMES, STAGE_STRIDES
 from ..interleave import space_to_depth
-from ..temporal import FeaturePair, FusionModel, build_model, fuse_clip
+from ..temporal import FeaturePair, FusionModel, build_model, fuse_clip, swap_parameters, walk_parameters
 from ..tensor import ShapeError, Tensor
 
 __all__ = ["DetectionModel", "FUSER_NAMES", "PRED_CHANNELS"]
@@ -82,34 +82,11 @@ class DetectionModel:
     # -- parameters -----------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for entry in self.backbone.values():
-            for t in entry.values():
-                out[t.name] = t
-        if self.fusion is not None:
-            out.update(self.fusion.named_parameters())
-        for entry in self.heads.values():
-            for t in entry.values():
-                out[t.name] = t
-        return out
+        return {t.name: t for _, _, t in walk_parameters([self.backbone, self.fusion, self.heads])}
 
     def replace_parameters(self, updated: dict[str, Tensor]) -> None:
-        current = self.named_parameters()
-        unknown = set(updated) - set(current)
-        if unknown:
-            raise KeyError(f"unknown parameters: {sorted(unknown)[:5]}")
-        for entry in self.backbone.values():
-            for key, t in entry.items():
-                if t.name in updated:
-                    entry[key] = Tensor(updated[t.name].data, name=t.name, trainable=True)
-        for entry in self.heads.values():
-            for key, t in entry.items():
-                if t.name in updated:
-                    entry[key] = Tensor(updated[t.name].data, name=t.name, trainable=True)
-        if self.fusion is not None:
-            fusion_updates = {k: v for k, v in updated.items() if k in self.fusion.named_parameters()}
-            if fusion_updates:
-                self.fusion.replace_parameters(fusion_updates)
+        """Swap parameter tensors by name; see ``temporal.swap_parameters``."""
+        swap_parameters([self.backbone, self.fusion, self.heads], updated)
 
     # -- forward --------------------------------------------------------
 

@@ -103,16 +103,6 @@ class SSMParams:
     def state_size(self) -> int:
         return self.a_log.shape[1]
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.A_log": self.a_log,
-            f"{prefix}.w_b": self.w_b,
-            f"{prefix}.dt_down": self.dt_down,
-            f"{prefix}.dt_up": self.dt_up,
-            f"{prefix}.dt_bias": self.dt_bias,
-            f"{prefix}.w_out": self.w_out,
-        }
-
 
 @dataclass
 class SSMState:
@@ -315,15 +305,16 @@ class MambaBlockParams:
     ``out_w``/``out_b`` start at zero, so a fresh block is the identity.
     """
 
+    # Field order is the order ``walk_parameters`` lists the parameters in.
     norm_gamma: Tensor
     norm_beta: Tensor
     in_w: Tensor
     conv_k: Tensor
     conv_b: Tensor
     gate_w: Tensor
-    ssm: SSMParams
     out_w: Tensor
     out_b: Tensor
+    ssm: SSMParams
 
     def __post_init__(self):
         d, e = self.in_w.shape
@@ -351,20 +342,6 @@ class MambaBlockParams:
     @property
     def conv_kernel(self) -> int:
         return self.conv_k.shape[0]
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.norm.gamma": self.norm_gamma,
-            f"{prefix}.norm.beta": self.norm_beta,
-            f"{prefix}.in_proj.w": self.in_w,
-            f"{prefix}.conv.w": self.conv_k,
-            f"{prefix}.conv.b": self.conv_b,
-            f"{prefix}.gate.w": self.gate_w,
-            f"{prefix}.out_proj.w": self.out_w,
-            f"{prefix}.out_proj.b": self.out_b,
-        }
-        out.update(self.ssm.named(f"{prefix}.ssm"))
-        return out
 
 
 def init_ssm(
@@ -432,9 +409,9 @@ def init_block(
         conv_k=p("conv.w", conv_k),
         conv_b=p("conv.b", np.zeros(inner, dtype=np.float32)),
         gate_w=p("gate.w", gate_w),
-        ssm=ssm,
         out_w=p("out_proj.w", np.zeros((inner, dim), dtype=np.float32)),
         out_b=p("out_proj.b", np.zeros(dim, dtype=np.float32)),
+        ssm=ssm,
     )
 
 

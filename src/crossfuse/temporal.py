@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
     "fuse_clip",
     "save_stream_state",
     "load_stream_state",
+    "swap_parameters",
+    "walk_parameters",
 ]
 
 
@@ -80,40 +82,62 @@ class FusionModel:
         raise KeyError(f"no stage named {name!r} (have {self.stage_names})")
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for s in self.stages:
-            out.update(s.named(s.config.name))
-        return out
+        return {t.name: t for _, _, t in walk_parameters(self.stages)}
 
     def replace_parameters(self, updated: dict[str, Tensor]) -> None:
-        """Swap parameter tensors in place by name (used by the optimizer
-        and by checkpoint loading). Unknown names are an error."""
-        current = self.named_parameters()
-        unknown = set(updated) - set(current)
-        if unknown:
-            raise KeyError(f"unknown parameters: {sorted(unknown)[:5]}")
-        for s in self.stages:
-            _rebind(s, updated)
+        """Swap parameter tensors by name (used by the optimizer and by
+        checkpoint loading); see ``swap_parameters``."""
+        swap_parameters(self.stages, updated)
 
 
-def _rebind(obj, updated: dict[str, Tensor]) -> None:
-    """Replace Tensor fields whose names appear in ``updated``."""
-    from dataclasses import fields as dc_fields
+def walk_parameters(root) -> Iterator[tuple[object, object, Tensor]]:
+    """Yield ``(holder, key, tensor)`` for every trainable Tensor under ``root``.
 
-    for f in dc_fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, Tensor):
-            if v.name in updated:
-                new = updated[v.name]
-                if new.shape != v.shape:
-                    raise ShapeError(f"{v.name}: shape {new.shape} != expected {v.shape}")
-                setattr(obj, f.name, Tensor(new.data, name=v.name, trainable=v.trainable))
-        elif isinstance(v, list):
-            for item in v:
-                if hasattr(item, "__dataclass_fields__"):
-                    _rebind(item, updated)
-        elif hasattr(v, "__dataclass_fields__"):
-            _rebind(v, updated)
+    The walk descends dataclass fields, list items and dict values in order.
+    ``holder`` is the dataclass, list or dict holding the tensor at ``key``.
+    A parameter's name is the one its ``init_*`` function gave the Tensor;
+    nothing else spells it.
+    """
+    if is_dataclass(root):
+        items = vars(root).items()
+    elif isinstance(root, list):
+        items = enumerate(root)
+    elif isinstance(root, dict):
+        items = root.items()
+    else:
+        return
+    for key, value in items:
+        if isinstance(value, Tensor):
+            if value.trainable:
+                yield root, key, value
+        else:
+            yield from walk_parameters(value)
+
+
+def swap_parameters(root, updated: dict[str, Tensor]) -> None:
+    """Replace the named parameters under ``root`` with new tensors.
+
+    Every update is checked before any is applied: a name the walk does not
+    find raises ``KeyError`` and a shape change raises ``ShapeError``, and
+    either leaves every parameter as it was. The new Tensors take the
+    parameter's name and are trainable. The old Tensors are not changed, so
+    a name -> Tensor dict taken before the swap still holds the old values.
+    """
+    slots = {t.name: (holder, key, t) for holder, key, t in walk_parameters(root)}
+    unknown = updated.keys() - slots.keys()
+    if unknown:
+        raise KeyError(f"unknown parameters: {sorted(unknown)[:5]}")
+    for name, new in updated.items():
+        old = slots[name][2]
+        if new.shape != old.shape:
+            raise ShapeError(f"{name}: shape {new.shape} != expected {old.shape}")
+    for name, new in updated.items():
+        holder, key, _ = slots[name]
+        t = Tensor(new.data, name=name, trainable=True)
+        if isinstance(holder, (list, dict)):
+            holder[key] = t
+        else:
+            setattr(holder, key, t)
 
 
 def build_model(configs: Sequence[StageConfig], seed: int = 0) -> FusionModel:

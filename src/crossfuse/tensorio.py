@@ -15,6 +15,7 @@ its byte offset. float64 tensors are narrowed to float32 on write.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Optional
@@ -78,27 +79,39 @@ def load_tensor(path) -> Tensor:
 
 
 def save_checkpoint(dirpath, tensors: dict[str, Tensor], metadata: Optional[dict] = None) -> None:
-    """Write a named-tensor archive. Names must be non-empty and unique."""
+    """Write a named-tensor archive. Names must be non-empty and unique.
+
+    Both files are written under temporary names in the directory and then
+    renamed into place, data first and index last, so a write that fails
+    leaves the checkpoint already there as it was.
+    """
+    if not all(tensors):
+        raise ValueError("checkpoint tensor names must be non-empty")
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    with open(d / DATA_NAME, "wb") as fp:
-        for name in sorted(tensors):
-            if not name:
-                raise ValueError("checkpoint tensor names must be non-empty")
-            t = tensors[name]
-            size = write_tensor(fp, t)
-            entries.append({"name": name, "offset": offset, "shape": list(t.shape)})
-            offset += size
-    index = {
-        "schema_version": SCHEMA_VERSION,
-        "entries": entries,
-        "metadata": metadata or {},
-    }
-    with open(d / INDEX_NAME, "w") as fp:
-        json.dump(index, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    data_tmp, index_tmp = d / f"{DATA_NAME}.tmp", d / f"{INDEX_NAME}.tmp"
+    try:
+        entries = []
+        offset = 0
+        with open(data_tmp, "wb") as fp:
+            for name in sorted(tensors):
+                t = tensors[name]
+                size = write_tensor(fp, t)
+                entries.append({"name": name, "offset": offset, "shape": list(t.shape)})
+                offset += size
+        index = {
+            "schema_version": SCHEMA_VERSION,
+            "entries": entries,
+            "metadata": metadata or {},
+        }
+        with open(index_tmp, "w") as fp:
+            json.dump(index, fp, indent=2, sort_keys=True)
+            fp.write("\n")
+        os.replace(data_tmp, d / DATA_NAME)
+        os.replace(index_tmp, d / INDEX_NAME)
+    finally:
+        data_tmp.unlink(missing_ok=True)
+        index_tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(dirpath) -> tuple[dict[str, Tensor], dict]:

@@ -15,6 +15,7 @@ from crossfuse.fusion import (
     stage_forward,
     unpatch,
 )
+from crossfuse.temporal import walk_parameters
 from crossfuse.tensor import ShapeError, Tensor
 
 
@@ -264,11 +265,12 @@ def test_add_embeddings_shape_error():
 def test_named_parameters_cover_every_family():
     cfg = _cfg()
     params = init_stage(cfg, np.random.default_rng(0), prefix="f9")
-    names = set(params.named("f9"))
+    walked = [t for _, _, t in walk_parameters(params)]
+    names = {t.name for t in walked}
+    assert len(names) == len(walked)
     assert "f9.emb.pos" in names
     assert "f9.head0.w_in" in names
     assert "f9.head1.layer0.ssm.A_log" in names
     assert "f9.agg.w" in names
-    for n, t in params.named("f9").items():
-        assert t.name == n
+    for t in walked:
         assert t.trainable

@@ -4,6 +4,7 @@ Everything runs at 32x32 with one or two blobs so the whole file stays in
 the sub-second range per test.
 """
 
+import importlib
 import json
 import math
 
@@ -27,7 +28,8 @@ from crossfuse.harness.synthetic import (
 from crossfuse.harness.train import SGD, TrainAbort, build_targets, clip_loss, huber, train
 from crossfuse.harness.train import frame_loss
 from crossfuse.metrics import Box, read_boxes_jsonl
-from crossfuse.tensor import Graph, Tensor, backward, grad_check
+from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check
+from crossfuse.tensorio import save_checkpoint
 
 LN2 = math.log(2.0)
 
@@ -582,3 +584,135 @@ def test_acceptance_11_clip_records_at_most_700_tape_nodes(tmp_path):
     with Graph() as g:
         clip_loss(model, [ds.load_frame(f) for f in clip.frames], [clip.gt[f["frame_id"]] for f in clip.frames])
     assert 0 < len(g) <= 700, f"{len(g)} tape nodes per clip"
+
+
+# ---------------------------------------------------------------------------
+# Parameter store: pinned names, validated replace, the training hooks
+# ---------------------------------------------------------------------------
+
+def _small_mambast_cfg(**overrides):
+    return _cfg(fuser="mambast", model={"stages": [
+        {"stage": "f1", "heads": 2, "patch_sizes": [1, 4], "layers": 1},
+        {"stage": "f2", "heads": 1, "patch_sizes": [2], "layers": 1},
+        {"stage": "f3", "heads": 1, "patch_sizes": [1], "layers": 1}]}, **overrides)
+
+
+# Checkpoints are keyed by these names, so a rename breaks every stored one.
+PINNED_PARAMETER_SHAPES = {
+    "backbone.rgb.f1.w": (192, 16), "backbone.rgb.f1.b": (16,),
+    "backbone.rgb.f2.w": (64, 32), "backbone.rgb.f2.b": (32,),
+    "backbone.rgb.f3.w": (128, 64), "backbone.rgb.f3.b": (64,),
+    "backbone.thermal.f1.w": (64, 16), "backbone.thermal.f1.b": (16,),
+    "backbone.thermal.f2.w": (64, 32), "backbone.thermal.f2.b": (32,),
+    "backbone.thermal.f3.w": (128, 64), "backbone.thermal.f3.b": (64,),
+    "f1.emb.pos": (4, 4, 16), "f1.emb.rgb": (16,), "f1.emb.thermal": (16,),
+    "f1.head0.w_in": (16, 8), "f1.head0.out_linear.w": (8, 16), "f1.head0.out_linear.b": (16,),
+    "f1.head0.layer0.norm.gamma": (8,), "f1.head0.layer0.norm.beta": (8,),
+    "f1.head0.layer0.in_proj.w": (8, 16),
+    "f1.head0.layer0.conv.w": (4, 16), "f1.head0.layer0.conv.b": (16,),
+    "f1.head0.layer0.gate.w": (8, 16),
+    "f1.head0.layer0.out_proj.w": (16, 8), "f1.head0.layer0.out_proj.b": (8,),
+    "f1.head0.layer0.ssm.A_log": (16, 16), "f1.head0.layer0.ssm.w_b": (16, 16),
+    "f1.head0.layer0.ssm.dt_down": (16, 1), "f1.head0.layer0.ssm.dt_up": (1, 16),
+    "f1.head0.layer0.ssm.dt_bias": (16,), "f1.head0.layer0.ssm.w_out": (16, 16),
+    "f1.head1.w_in": (256, 8), "f1.head1.out_linear.w": (8, 256), "f1.head1.out_linear.b": (256,),
+    "f1.head1.layer0.norm.gamma": (8,), "f1.head1.layer0.norm.beta": (8,),
+    "f1.head1.layer0.in_proj.w": (8, 16),
+    "f1.head1.layer0.conv.w": (4, 16), "f1.head1.layer0.conv.b": (16,),
+    "f1.head1.layer0.gate.w": (8, 16),
+    "f1.head1.layer0.out_proj.w": (16, 8), "f1.head1.layer0.out_proj.b": (8,),
+    "f1.head1.layer0.ssm.A_log": (16, 16), "f1.head1.layer0.ssm.w_b": (16, 16),
+    "f1.head1.layer0.ssm.dt_down": (16, 1), "f1.head1.layer0.ssm.dt_up": (1, 16),
+    "f1.head1.layer0.ssm.dt_bias": (16,), "f1.head1.layer0.ssm.w_out": (16, 16),
+    "f1.agg.w": (32, 16), "f1.agg.b": (16,),
+    "f2.emb.pos": (2, 2, 32), "f2.emb.rgb": (32,), "f2.emb.thermal": (32,),
+    "f2.head0.w_in": (128, 32), "f2.head0.out_linear.w": (32, 128), "f2.head0.out_linear.b": (128,),
+    "f2.head0.layer0.norm.gamma": (32,), "f2.head0.layer0.norm.beta": (32,),
+    "f2.head0.layer0.in_proj.w": (32, 64),
+    "f2.head0.layer0.conv.w": (4, 64), "f2.head0.layer0.conv.b": (64,),
+    "f2.head0.layer0.gate.w": (32, 64),
+    "f2.head0.layer0.out_proj.w": (64, 32), "f2.head0.layer0.out_proj.b": (32,),
+    "f2.head0.layer0.ssm.A_log": (64, 16), "f2.head0.layer0.ssm.w_b": (64, 16),
+    "f2.head0.layer0.ssm.dt_down": (64, 2), "f2.head0.layer0.ssm.dt_up": (2, 64),
+    "f2.head0.layer0.ssm.dt_bias": (64,), "f2.head0.layer0.ssm.w_out": (64, 16),
+    "f2.agg.w": (32, 32), "f2.agg.b": (32,),
+    "f3.emb.pos": (1, 1, 64), "f3.emb.rgb": (64,), "f3.emb.thermal": (64,),
+    "f3.head0.w_in": (64, 64), "f3.head0.out_linear.w": (64, 64), "f3.head0.out_linear.b": (64,),
+    "f3.head0.layer0.norm.gamma": (64,), "f3.head0.layer0.norm.beta": (64,),
+    "f3.head0.layer0.in_proj.w": (64, 128),
+    "f3.head0.layer0.conv.w": (4, 128), "f3.head0.layer0.conv.b": (128,),
+    "f3.head0.layer0.gate.w": (64, 128),
+    "f3.head0.layer0.out_proj.w": (128, 64), "f3.head0.layer0.out_proj.b": (64,),
+    "f3.head0.layer0.ssm.A_log": (128, 16), "f3.head0.layer0.ssm.w_b": (128, 16),
+    "f3.head0.layer0.ssm.dt_down": (128, 4), "f3.head0.layer0.ssm.dt_up": (4, 128),
+    "f3.head0.layer0.ssm.dt_bias": (128,), "f3.head0.layer0.ssm.w_out": (128, 16),
+    "f3.agg.w": (64, 64), "f3.agg.b": (64,),
+    "head.f1.w": (16, 5), "head.f1.b": (5,),
+    "head.f2.w": (32, 5), "head.f2.b": (5,),
+    "head.f3.w": (64, 5), "head.f3.b": (5,),
+}
+
+
+def test_parameter_names_and_shapes_are_pinned():
+    params = DetectionModel(_small_mambast_cfg()).named_parameters()
+    assert {k: v.shape for k, v in params.items()} == PINNED_PARAMETER_SHAPES
+    assert all(t.name == k and t.trainable for k, t in params.items())
+    # Tests and the benchmark draw seeded values for these in this order.
+    drawn = [k for k in params if k.endswith(("out_proj.w", "agg.w", "dt_bias"))]
+    assert drawn == [
+        "f1.head0.layer0.out_proj.w", "f1.head0.layer0.ssm.dt_bias",
+        "f1.head1.layer0.out_proj.w", "f1.head1.layer0.ssm.dt_bias", "f1.agg.w",
+        "f2.head0.layer0.out_proj.w", "f2.head0.layer0.ssm.dt_bias", "f2.agg.w",
+        "f3.head0.layer0.out_proj.w", "f3.head0.layer0.ssm.dt_bias", "f3.agg.w",
+    ]
+
+
+@pytest.mark.parametrize("name", ["head.f1.w", "backbone.thermal.f2.b", "f1.agg.b"])
+def test_replace_rejects_a_wrong_shape_and_changes_nothing(name):
+    model = DetectionModel(_small_mambast_cfg())
+    before = model.named_parameters()
+    ok = Tensor(np.ones(before["f1.emb.pos"].shape, np.float32))
+    with pytest.raises(ShapeError, match=name):
+        model.replace_parameters({"f1.emb.pos": ok, name: Tensor(np.zeros(3, np.float32))})
+    after = model.named_parameters()
+    assert list(after) == list(before)
+    for k, t in before.items():
+        assert after[k] is t
+
+
+def test_load_detector_rejects_a_wrong_head_shape(tmp_path):
+    cfg = _small_mambast_cfg()
+    params = DetectionModel(cfg).named_parameters()
+    params["head.f1.b"] = Tensor(np.zeros(3, np.float32))
+    save_checkpoint(tmp_path / "run", params, metadata={
+        "kind": "detection_checkpoint", "config": cfg, "config_hash": config_model_hash(cfg)})
+    with pytest.raises(ShapeError, match="head.f1.b"):
+        load_detector(tmp_path / "run")
+
+
+def test_train_steps_through_replace_parameters_and_saves_named_parameters(tmp_path, monkeypatch):
+    # The benchmark's train-desk step clock wraps DetectionModel.replace_parameters
+    # and its reload check captures what train hands to save_checkpoint.
+    train_mod = importlib.import_module("crossfuse.harness.train")
+    cfg = _small_mambast_cfg(train={"steps": 3})
+    ds = _dataset(cfg, tmp_path)
+    models, saved = [], []
+    original_replace = DetectionModel.replace_parameters
+    original_save = train_mod.save_checkpoint
+
+    def counting_replace(self, updated):
+        models.append(self)
+        original_replace(self, updated)
+
+    def capturing_save(dirpath, tensors, metadata=None):
+        saved.append(tensors)
+        original_save(dirpath, tensors, metadata=metadata)
+
+    monkeypatch.setattr(DetectionModel, "replace_parameters", counting_replace)
+    monkeypatch.setattr(train_mod, "save_checkpoint", capturing_save)
+    train(cfg, ds, tmp_path / "run")
+    assert len(models) == 3 and len(set(map(id, models))) == 1
+    assert len(saved) == 1
+    final = models[0].named_parameters()
+    assert list(saved[0]) == list(final)
+    assert all(saved[0][k] is t for k, t in final.items())

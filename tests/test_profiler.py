@@ -26,11 +26,12 @@ from crossfuse.profiler import (
     stage_flop_count,
     stage_param_count,
 )
+from crossfuse.temporal import walk_parameters
 
 
 def _walked_param_count(cfg):
     params = init_stage(cfg, np.random.default_rng(0))
-    return sum(int(np.prod(t.shape)) for t in params.named(cfg.name).values())
+    return sum(int(np.prod(t.shape)) for _, _, t in walk_parameters(params))
 
 
 M1 = StageConfig(name="m1", height=2, width=2, channels=2, heads=1,

@@ -26,6 +26,7 @@ from crossfuse.ssm import (
     scan_step,
     stack_forward,
 )
+from crossfuse.temporal import walk_parameters
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check
 
 LN2 = math.log(2.0)
@@ -218,7 +219,7 @@ def test_scan_gradients_match_finite_differences():
     channels, state, rank, length = 3, 2, 1, 5
     base = _random_params(rng, channels, state, rank)
     tokens = Tensor(rng.normal(0, 0.8, (length, channels)).astype(np.float32))
-    params = dict(base.named("s"))
+    params = {t.name: t for _, _, t in walk_parameters(base)}
     params["s.h0"] = T.parameter(rng.normal(0, 0.5, (channels, state)).astype(np.float32), "s.h0")
 
     def f(p):
@@ -471,7 +472,7 @@ def test_fused_scan_gradients_without_state_match_finite_differences():
     rng = np.random.default_rng(13)
     base = _random_params(rng, 3, 2, 1)
     tokens = rng.normal(0, 0.8, (4, 3))
-    params = dict(base.named("s"))
+    params = {t.name: t for _, _, t in walk_parameters(base)}
     params["s.x"] = T.parameter(tokens.astype(np.float32), "s.x")
 
     def f(p):

@@ -278,6 +278,19 @@ def test_replace_parameters_contract():
         model.replace_parameters({name: Tensor(np.zeros(7, np.float32))})
 
 
+@pytest.mark.parametrize("bad_name, error", [("f1.agg.b", ShapeError), ("nope.w", KeyError)])
+def test_rejected_replace_leaves_every_parameter_unchanged(bad_name, error):
+    model = build_model(_configs(), seed=0)
+    before = {k: t.data.copy() for k, t in model.named_parameters().items()}
+    ok = Tensor(np.full(before["f1.emb.pos"].shape, 0.25, np.float32))
+    with pytest.raises(error):
+        model.replace_parameters({"f1.emb.pos": ok, bad_name: Tensor(np.zeros(7, np.float32))})
+    after = model.named_parameters()
+    assert list(after) == list(before)
+    for k, arr in before.items():
+        np.testing.assert_array_equal(after[k].data, arr)
+
+
 def test_model_stage_lookup():
     model = build_model(_configs(), seed=0)
     assert model.stage("f2").config.name == "f2"

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from crossfuse import tensorio
 from crossfuse.tensor import Tensor
 from crossfuse.tensorio import (
     MAGIC,
@@ -148,3 +149,36 @@ def test_checkpoint_write_is_deterministic(tmp_path):
     save_checkpoint(b, _tensors(), metadata={"k": 1})
     assert (a / "tensors.bin").read_bytes() == (b / "tensors.bin").read_bytes()
     assert (a / "index.json").read_text() == (b / "index.json").read_text()
+
+
+def _assert_checkpoint_is(dirpath, tensors, metadata):
+    loaded, meta = load_checkpoint(dirpath)
+    assert meta == metadata
+    assert sorted(loaded) == sorted(tensors)
+    for name, t in tensors.items():
+        assert loaded[name].data.tobytes() == t.data.tobytes()
+    assert sorted(p.name for p in dirpath.iterdir()) == ["index.json", "tensors.bin"]
+
+
+def test_rejected_names_leave_the_old_checkpoint(tmp_path):
+    save_checkpoint(tmp_path, _tensors(), metadata={"step": 1})
+    with pytest.raises(ValueError, match="non-empty"):
+        save_checkpoint(tmp_path, {"": Tensor(np.zeros(1, np.float32))})
+    _assert_checkpoint_is(tmp_path, _tensors(), {"step": 1})
+
+
+def test_failed_write_leaves_the_old_checkpoint(tmp_path, monkeypatch):
+    save_checkpoint(tmp_path, _tensors(), metadata={"step": 1})
+    calls = []
+
+    def failing_write(fp, tensor):
+        calls.append(tensor)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return write_tensor(fp, tensor)
+
+    monkeypatch.setattr(tensorio, "write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(tmp_path, {k: Tensor(t.data * 2) for k, t in _tensors().items()}, metadata={"step": 2})
+    assert len(calls) == 2
+    _assert_checkpoint_is(tmp_path, _tensors(), {"step": 1})
