@@ -4,8 +4,6 @@
     crossfuse train     --config cfg.json --data data/ --out runs/exp0
     crossfuse eval      --checkpoint runs/exp0 --data data/ [--reset-every 1]
     crossfuse profile   [--config cfg.json | --full-scale] [--latency]
-    crossfuse bench     [--config cfg.json | --full-scale]
-    crossfuse selfcheck
 
 Every subcommand reports JSON (optionally to a file via --json) plus a
 human-readable summary on stdout.
@@ -17,27 +15,9 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
-import numpy as np
-
-from . import tensor as T
 from .config import default_config, load_config, stage_configs_from
-from .fusion import StageConfig, init_stage, patch, stage_forward, unpatch
-from .interleave import build_layout, ocf_flatten, ocf_unflatten
-from .metrics import Box, DetRecord, lamr, mr_fppi_curve
-from .profiler import (
-    REFERENCE_FULL_SCALE,
-    bench_latency,
-    full_scale_configs,
-    profile,
-    render_table,
-    stage_param_count,
-)
-from .ssm import SSMParams, scan_sequence
-from .temporal import build_model, fuse_clip, walk_parameters, FeaturePair
-from .tensor import Graph, Tensor, grad_check
-from .tensorio import load_checkpoint, save_checkpoint
+from .profiler import REFERENCE_FULL_SCALE, full_scale_configs, profile, render_table
 
 
 def _load_cfg(path: str | None) -> dict:
@@ -108,15 +88,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _profile_configs(args) -> tuple[list[StageConfig], dict | None]:
-    if args.full_scale:
-        return full_scale_configs(), dict(REFERENCE_FULL_SCALE)
-    cfg = _load_cfg(args.config)
-    return stage_configs_from(cfg), None
-
-
 def cmd_profile(args) -> int:
-    configs, reference = _profile_configs(args)
+    if args.full_scale:
+        configs, reference = full_scale_configs(), dict(REFERENCE_FULL_SCALE)
+    else:
+        configs, reference = stage_configs_from(_load_cfg(args.config)), None
     report = profile(
         configs,
         with_latency=args.latency,
@@ -127,194 +103,6 @@ def cmd_profile(args) -> int:
     if args.json:
         _emit(report.to_dict(), args.json)
     print(render_table(report))
-    return 0
-
-
-def cmd_bench(args) -> int:
-    configs, _ = _profile_configs(args)
-    out = bench_latency(configs, reps=args.reps, warmup=args.warmup)
-    _emit(out, args.json)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# selfcheck: fast invariant battery
-# ---------------------------------------------------------------------------
-
-def _check_flatten_bijection() -> None:
-    rng = np.random.default_rng(7)
-    for rows, cols, ch in ((1, 2, 3), (3, 5, 2), (4, 4, 8), (2, 7, 1)):
-        rgb = Tensor(rng.normal(size=(rows, cols, ch)).astype(np.float32))
-        thm = Tensor(rng.normal(size=(rows, cols, ch)).astype(np.float32))
-        layout = build_layout(rows, cols)
-        tokens = ocf_flatten(rgb, thm, layout)
-        r2, t2 = ocf_unflatten(tokens, layout)
-        if not (np.array_equal(r2.data, rgb.data) and np.array_equal(t2.data, thm.data)):
-            raise AssertionError(f"flatten/unflatten not a bijection at {(rows, cols, ch)}")
-
-
-def _check_flatten_order() -> None:
-    layout = build_layout(1, 2)
-    want = ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))
-    if layout.order != want:
-        raise AssertionError(f"1x2 token order {layout.order} != {want}")
-
-
-def _check_scan_impulse() -> None:
-    n = 1
-    params = SSMParams(
-        a_log=T.parameter(np.zeros((1, n), np.float32), "sc.A_log"),
-        w_b=T.parameter(np.ones((1, n), np.float32), "sc.w_b"),
-        dt_down=T.parameter(np.zeros((1, 1), np.float32), "sc.dt_down"),
-        dt_up=T.parameter(np.zeros((1, 1), np.float32), "sc.dt_up"),
-        dt_bias=T.parameter(np.zeros(1, np.float32), "sc.dt_bias"),
-        w_out=T.parameter(np.ones((1, n), np.float32), "sc.w_out"),
-    )
-    x = Tensor(np.array([[1.0], [0.0], [0.0]], np.float32))
-    y, _ = scan_sequence(params, x)
-    ln2 = float(np.log(2.0))
-    want = np.array([[ln2], [ln2 / 2], [ln2 / 4]], np.float32)
-    if not np.allclose(y.data, want, atol=1e-6):
-        raise AssertionError(f"impulse response {y.data.ravel()} != {want.ravel()}")
-
-
-def _check_stage_identity() -> None:
-    cfg = StageConfig(name="f1", height=4, width=4, channels=4, heads=2,
-                      patch_sizes=(1, 2), layers=1, state_size=4)
-    params = init_stage(cfg, np.random.default_rng(3))
-    rng = np.random.default_rng(4)
-    rgb = Tensor(rng.normal(size=(4, 4, 4)).astype(np.float32))
-    thm = Tensor(rng.normal(size=(4, 4, 4)).astype(np.float32))
-    res = stage_forward(params, rgb, thm)
-    if not (np.array_equal(res.rgb.data, rgb.data) and np.array_equal(res.thermal.data, thm.data)):
-        raise AssertionError("freshly initialized stage is not an exact identity")
-
-
-def _check_streaming() -> None:
-    cfg = StageConfig(name="f1", height=4, width=4, channels=4, heads=1,
-                      patch_sizes=(2,), layers=1, state_size=4)
-    model = build_model([cfg], seed=11)
-    # Zero-init output projections make the stack input-independent, so
-    # randomize them before probing temporal behaviour.
-    rng = np.random.default_rng(12)
-    updates = {}
-    for name, t in model.named_parameters().items():
-        if name.endswith("out_proj.w") or name.endswith("agg.w"):
-            updates[name] = Tensor(rng.normal(0, 0.1, size=t.shape).astype(np.float32),
-                                   name=name, trainable=True)
-    model.replace_parameters(updates)
-    frames = [
-        {"f1": FeaturePair(stage="f1",
-                           rgb=Tensor(rng.normal(size=(4, 4, 4)).astype(np.float32)),
-                           thermal=Tensor(rng.normal(size=(4, 4, 4)).astype(np.float32)))}
-        for _ in range(3)
-    ]
-    whole = fuse_clip(model, frames)
-    per_frame = [fuse_clip(model, [f])[0] for f in frames]
-    same0 = np.array_equal(whole[0]["f1"].rgb.data, per_frame[0]["f1"].rgb.data)
-    diff2 = not np.array_equal(whole[2]["f1"].rgb.data, per_frame[2]["f1"].rgb.data)
-    if not same0:
-        raise AssertionError("first streamed frame disagrees with its single-frame fusion")
-    if not diff2:
-        raise AssertionError("carry tokens had no effect on a later frame")
-
-
-def _check_patch_roundtrip() -> None:
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(8, 8, 3)).astype(np.float32))
-    for s in (1, 2, 4):
-        y = unpatch(patch(x, s), s)
-        if not np.array_equal(y.data, x.data):
-            raise AssertionError(f"patch/unpatch roundtrip failed at size {s}")
-
-
-def _check_lamr_oracle() -> None:
-    # One TP at conf .9 and one FP at conf .8 over 1 GT, 1 frame:
-    # thresholds {.9, .8} give curve [(0, 0), (1, 0)]; every reference point
-    # reads miss rate 0 -> floored to 1e-5 -> 0.001%.
-    records = [DetRecord(0.9, True), DetRecord(0.8, False)]
-    curve = mr_fppi_curve(records, n_gt=1, n_frames=1)
-    got = lamr(curve)
-    if abs(got - 1e-3) > 1e-12:
-        raise AssertionError(f"lamr pencil oracle: got {got}, want 0.001")
-
-
-def _check_param_count() -> None:
-    cfg = StageConfig(name="f2", height=4, width=4, channels=8, heads=2,
-                      patch_sizes=(1, 2), layers=2, state_size=4)
-    params = init_stage(cfg, np.random.default_rng(1))
-    walked = sum(t.size for _, _, t in walk_parameters(params))
-    closed = stage_param_count(cfg)
-    if walked != closed:
-        raise AssertionError(f"closed-form params {closed} != walked sum {walked}")
-
-
-def _check_grad() -> None:
-    rng = np.random.default_rng(9)
-    params = {
-        "sc.w": T.parameter(rng.normal(0, 0.3, size=(4, 3)).astype(np.float32), "sc.w"),
-        "sc.b": T.parameter(rng.normal(0, 0.3, size=3).astype(np.float32), "sc.b"),
-    }
-    x = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
-
-    def f(p):
-        return T.reduce_sum(T.silu(T.linear(x.astype(p["sc.w"].dtype), p["sc.w"], p["sc.b"])))
-
-    report = grad_check(f, params)
-    if report.max_rel_error >= 1e-3:
-        raise AssertionError(f"grad check error {report.max_rel_error:.2e} >= 1e-3")
-
-
-def _check_checkpoint_io(tmp: Path) -> None:
-    rng = np.random.default_rng(21)
-    tensors = {
-        "a.w": Tensor(rng.normal(size=(3, 4)).astype(np.float32), name="a.w", trainable=True),
-        "b": Tensor(rng.normal(size=(2,)).astype(np.float32), name="b", trainable=True),
-    }
-    save_checkpoint(tmp, tensors, metadata={"kind": "selfcheck"})
-    loaded, meta = load_checkpoint(tmp)
-    if meta.get("kind") != "selfcheck":
-        raise AssertionError("checkpoint metadata did not round-trip")
-    for k, t in tensors.items():
-        if not np.array_equal(loaded[k].data, t.data):
-            raise AssertionError(f"tensor {k} did not round-trip bit-exactly")
-
-
-def cmd_selfcheck(args) -> int:
-    import tempfile
-
-    checks = [
-        ("token interleave is a bijection", _check_flatten_bijection),
-        ("1x2 golden token order", _check_flatten_order),
-        ("scan impulse response", _check_scan_impulse),
-        ("stage is identity at init", _check_stage_identity),
-        ("carry propagates across frames", _check_streaming),
-        ("patch/unpatch roundtrip", _check_patch_roundtrip),
-        ("log-average miss rate oracle", _check_lamr_oracle),
-        ("closed-form parameter count", _check_param_count),
-        ("analytic gradients vs finite differences", _check_grad),
-    ]
-    failures = 0
-    for name, fn in checks:
-        try:
-            fn()
-        except Exception as e:  # report every failure, not just the first
-            failures += 1
-            print(f"FAIL {name}: {e}")
-        else:
-            print(f"  ok {name}")
-    with tempfile.TemporaryDirectory() as tmp:
-        try:
-            _check_checkpoint_io(Path(tmp))
-        except Exception as e:
-            failures += 1
-            print(f"FAIL checkpoint round-trip: {e}")
-        else:
-            print("  ok checkpoint round-trip")
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 1
-    print("all checks passed")
     return 0
 
 
@@ -360,16 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--json", help="write the JSON report to this path")
     pr.set_defaults(fn=cmd_profile)
 
-    b = sub.add_parser("bench", help="latency only, JSON output")
-    b.add_argument("--config")
-    b.add_argument("--full-scale", action="store_true")
-    b.add_argument("--reps", type=int, default=20)
-    b.add_argument("--warmup", type=int, default=5)
-    b.add_argument("--json")
-    b.set_defaults(fn=cmd_bench)
-
-    s = sub.add_parser("selfcheck", help="run the fast invariant battery")
-    s.set_defaults(fn=cmd_selfcheck)
     return p
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "config_model_hash",
     "stage_configs_from",
     "backbone_widths",
-    "stage_strides",
 ]
 
 SCHEMA_VERSION = 1
@@ -122,10 +121,6 @@ def normalize_config(raw: dict, source: str = "<dict>") -> dict:
 def backbone_widths(cfg: dict) -> dict[str, int]:
     d = cfg["model"]["d_factor"]
     return {name: STAGE_WIDTH_FACTORS[name] * d for name in STAGE_NAMES}
-
-
-def stage_strides() -> dict[str, int]:
-    return dict(STAGE_STRIDES)
 
 
 def stage_configs_from(cfg: dict) -> list[StageConfig]:

@@ -23,7 +23,7 @@ back so the caller can extract the next carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,35 +163,11 @@ class StageConfig:
         return 2 * (self.height // s) * (self.width // s)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "height": self.height,
-            "width": self.width,
-            "channels": self.channels,
-            "heads": self.heads,
-            "patch_sizes": list(self.patch_sizes),
-            "layers": self.layers,
-            "state_size": self.state_size,
-            "conv_kernel": self.conv_kernel,
-            "expand": self.expand,
-            "dt_rank": self.dt_rank,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageConfig":
-        return cls(
-            name=d["name"],
-            height=d["height"],
-            width=d["width"],
-            channels=d["channels"],
-            heads=d["heads"],
-            patch_sizes=tuple(d["patch_sizes"]),
-            layers=d["layers"],
-            state_size=d.get("state_size", 16),
-            conv_kernel=d.get("conv_kernel", 4),
-            expand=d.get("expand", 2),
-            dt_rank=d.get("dt_rank"),
-        )
+        return cls(**{**d, "patch_sizes": tuple(d["patch_sizes"])})
 
 
 @dataclass

@@ -89,6 +89,9 @@ def load_detector(checkpoint_dir, cfg: Optional[dict] = None) -> tuple[Detection
     missing = set(known) - set(tensors)
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {sorted(missing)[:5]}")
+    unknown = set(tensors) - set(known)
+    if unknown:
+        raise ValueError(f"checkpoint holds tensors the model does not have: {sorted(unknown)[:5]}")
     model.replace_parameters({k: tensors[k] for k in known})
     return model, meta
 

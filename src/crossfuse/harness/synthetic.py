@@ -27,7 +27,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensorio import load_tensor, save_tensor
-from ..metrics import Box
+from ..metrics import Box, read_boxes_jsonl, write_boxes_jsonl
 
 __all__ = ["SyntheticClipSpec", "RenderParams", "gen_clips", "load_dataset", "Clip", "Dataset"]
 
@@ -202,10 +202,7 @@ def gen_clips(spec: SyntheticClipSpec, count: int, out_dir, render: RenderParams
             frames.append({"frame_id": frame_id, "rgb": rgb_rel, "thermal": thm_rel})
             gt_rows[frame_id] = boxes
         gt_rel = f"clips/{clip_id}/gt.jsonl"
-        with open(root / gt_rel, "w") as fp:
-            for frame_id in sorted(gt_rows):
-                row = {"frame_id": frame_id, "boxes": [b.to_dict() for b in gt_rows[frame_id]]}
-                fp.write(json.dumps(row, sort_keys=True) + "\n")
+        write_boxes_jsonl(root / gt_rel, gt_rows)
         manifest_clips.append({"id": clip_id, "tag": spec.illumination, "frames": frames, "gt": gt_rel})
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
@@ -231,13 +228,6 @@ def load_dataset(root) -> Dataset:
     spec = SyntheticClipSpec.from_dict(manifest["spec"])
     clips = []
     for row in manifest["clips"]:
-        gt: dict[str, list[Box]] = {}
-        with open(root / row["gt"]) as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                gt[obj["frame_id"]] = [Box.from_dict(b) for b in obj["boxes"]]
+        gt = read_boxes_jsonl(root / row["gt"])
         clips.append(Clip(clip_id=row["id"], tag=row["tag"], frames=row["frames"], gt=gt))
     return Dataset(root=root, spec=spec, clips=clips)

@@ -154,6 +154,7 @@ class ProfileReport:
     total_params: int
     total_flops: int
     total_latency_ms_median: Optional[float]
+    total_latency_ms_p95: Optional[float]
     conventions: str
     machine: str
     reference: Optional[dict] = None
@@ -173,6 +174,7 @@ class ProfileReport:
             "total_params": self.total_params,
             "total_flops": self.total_flops,
             "total_latency_ms_median": self.total_latency_ms_median,
+            "total_latency_ms_p95": self.total_latency_ms_p95,
             "conventions": self.conventions,
             "machine": self.machine,
             "reference": self.reference,
@@ -247,12 +249,13 @@ def profile(
                 latency_ms_p95=lat.get("p95_ms"),
             )
         )
-    total_lat = latency.get("total", {}).get("median_ms")
+    total = latency.get("total", {})
     report = ProfileReport(
         stages=stages,
         total_params=sum(s.params for s in stages),
         total_flops=sum(s.flops for s in stages),
-        total_latency_ms_median=total_lat,
+        total_latency_ms_median=total.get("median_ms"),
+        total_latency_ms_p95=total.get("p95_ms"),
         conventions=CONVENTIONS,
         machine=_machine_descriptor(),
         reference=reference,
@@ -270,9 +273,10 @@ def render_table(report: ProfileReport) -> str:
         p95 = f"{s.latency_ms_p95:.2f}" if s.latency_ms_p95 is not None else "-"
         lines.append(f"{s.name:<8} {s.params:>14,} {s.flops / 1e6:>12.2f} {med:>14} {p95:>14}")
     total_med = f"{report.total_latency_ms_median:.2f}" if report.total_latency_ms_median is not None else "-"
+    total_p95 = f"{report.total_latency_ms_p95:.2f}" if report.total_latency_ms_p95 is not None else "-"
     lines.append("-" * len(header))
     lines.append(
-        f"{'total':<8} {report.total_params:>14,} {report.total_flops / 1e6:>12.2f} {total_med:>14} {'':>14}"
+        f"{'total':<8} {report.total_params:>14,} {report.total_flops / 1e6:>12.2f} {total_med:>14} {total_p95:>14}"
     )
     if report.reference:
         ref_p = report.reference.get("params_m")

@@ -336,10 +336,6 @@ class MambaBlockParams:
         return self.in_w.shape[0]
 
     @property
-    def inner_dim(self) -> int:
-        return self.in_w.shape[1]
-
-    @property
     def conv_kernel(self) -> int:
         return self.conv_k.shape[0]
 

@@ -206,6 +206,9 @@ def fuse_next(
             "stream state belongs to a different model config "
             f"(state {state.model_hash[:12]}, model {model.hash[:12]})"
         )
+    missing = [n for n in model.stage_names if n not in state.carries]
+    if missing:
+        raise ValueError(f"stream state has no carries for stages {missing}")
     _check_pyramid(model, pyramid)
     fused: dict[str, FeaturePair] = {}
     new_carries: dict[str, list[Tensor]] = {}

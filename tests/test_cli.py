@@ -1,10 +1,13 @@
-"""End-to-end CLI tests: each subcommand through main() with temp dirs."""
+"""The public surface: each CLI subcommand through main() with temp dirs,
+and the package export lists."""
 
+import argparse
+import importlib
 import json
 
 import pytest
 
-from crossfuse.cli import main
+from crossfuse.cli import build_parser, main
 
 
 @pytest.fixture
@@ -78,15 +81,27 @@ def test_profile_full_scale_reports_reference(capsys):
     assert "22.52M params" in printed
 
 
-def test_bench_outputs_latency_json(cfg_path, capsys):
-    assert main(["bench", "--config", cfg_path, "--reps", "10", "--warmup", "3"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert "total" in report
-    assert report["f1"]["median_ms"] > 0
+def test_profile_latency_json_reports_median_and_p95(tmp_path, cfg_path):
+    out = tmp_path / "profile.json"
+    assert main(["profile", "--config", cfg_path, "--latency", "--reps", "10",
+                 "--warmup", "3", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for stage in report["stages"]:
+        assert 0 < stage["latency_ms_median"] <= stage["latency_ms_p95"]
+    assert 0 < report["total_latency_ms_median"] <= report["total_latency_ms_p95"]
 
 
-def test_selfcheck_passes(capsys):
-    assert main(["selfcheck"]) == 0
-    printed = capsys.readouterr().out
-    assert "FAIL" not in printed
-    assert printed.count("ok ") >= 10
+def test_parser_offers_exactly_the_four_subcommands(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"gen", "train", "eval", "profile"}
+    for gone in ("selfcheck", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([gone])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("package", ["crossfuse", "crossfuse.harness"])
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

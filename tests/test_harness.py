@@ -175,6 +175,20 @@ def test_load_dataset_missing_manifest(tmp_path):
         load_dataset(tmp_path / "nowhere")
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda lines: lines + lines[:1], r"gt\.jsonl:3: duplicate frame_id"),
+    (lambda lines: lines[:1] + ['{"frame_id": "clip0000/f1"}\n'], r"gt\.jsonl:2: rows need frame_id and boxes"),
+])
+def test_load_dataset_rejects_a_bad_gt_line(tmp_path, edit, error):
+    spec = SyntheticClipSpec(seed=3, frames=2, height=32, width=32,
+                             blob_size_min=8, blob_size_max=12)
+    gen_clips(spec, 1, tmp_path)
+    gt_path = tmp_path / "clips" / "clip0000" / "gt.jsonl"
+    gt_path.write_text("".join(edit(gt_path.read_text().splitlines(keepends=True))))
+    with pytest.raises(ValueError, match=error):
+        load_dataset(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # Config
 # ---------------------------------------------------------------------------
@@ -687,6 +701,16 @@ def test_load_detector_rejects_a_wrong_head_shape(tmp_path):
     save_checkpoint(tmp_path / "run", params, metadata={
         "kind": "detection_checkpoint", "config": cfg, "config_hash": config_model_hash(cfg)})
     with pytest.raises(ShapeError, match="head.f1.b"):
+        load_detector(tmp_path / "run")
+
+
+def test_load_detector_rejects_tensors_the_model_does_not_have(tmp_path):
+    cfg = _small_mambast_cfg()
+    params = DetectionModel(cfg).named_parameters()
+    params["f1.head0.layer0.ssm.A_logg"] = params["f1.head0.layer0.ssm.A_log"]
+    save_checkpoint(tmp_path / "run", params, metadata={
+        "kind": "detection_checkpoint", "config": cfg, "config_hash": config_model_hash(cfg)})
+    with pytest.raises(ValueError, match=r"does not have: \['f1\.head0\.layer0\.ssm\.A_logg'\]"):
         load_detector(tmp_path / "run")
 
 

@@ -5,12 +5,15 @@ single-frame fusion, so batch and streaming execution must agree exactly,
 and memory carried between frames is a fixed number of floats.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from crossfuse import tensor as T
 from crossfuse.fusion import StageConfig
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward
+from crossfuse.tensorio import INDEX_NAME
 from crossfuse.temporal import (
     FeaturePair,
     NonFiniteFrameError,
@@ -233,6 +236,20 @@ def test_fuse_next_rejects_state_from_other_model():
     state_b = init_stream(model_b)
     with pytest.raises(ValueError, match="different model config"):
         fuse_next(model_a, state_b, _clip(configs, 1)[0])
+
+
+def test_fuse_next_names_stages_missing_from_a_loaded_state(tmp_path):
+    configs = _configs()
+    model = build_model(configs, seed=0)
+    save_stream_state(tmp_path / "state", init_stream(model))
+    index_path = tmp_path / "state" / INDEX_NAME
+    index = json.loads(index_path.read_text())
+    del index["metadata"]["carry_names"]["f2"]
+    index_path.write_text(json.dumps(index))
+    state = load_stream_state(tmp_path / "state")
+    assert state.model_hash == model.hash
+    with pytest.raises(ValueError, match=r"no carries for stages \['f2'\]"):
+        fuse_next(model, state, _clip(configs, 1)[0])
 
 
 def test_fuse_next_rejects_incomplete_pyramid():
