@@ -2,6 +2,7 @@
 
 Each step consumes one clip. For the temporal fuser the whole clip is one
 recorded graph, so gradients flow through the carry tokens across frames.
+The clip's loss is one ``detection_loss`` op on its prediction maps.
 A non-finite loss aborts immediately and dumps diagnostics next to the
 checkpoint instead of silently training on garbage.
 """
@@ -18,13 +19,16 @@ import numpy as np
 from .. import tensor as T
 from ..config import STAGE_NAMES, STAGE_STRIDES, config_model_hash
 from ..metrics import Box
-from ..tensor import Graph, Tensor, backward, register_op
+from ..tensor import Graph, ShapeError, Tensor, backward, register_op
 from ..temporal import NonFiniteFrameError
 from ..tensorio import save_checkpoint
-from .model import DetectionModel
+from .model import PRED_CHANNELS, DetectionModel
 from .synthetic import Dataset
 
 __all__ = ["train", "TrainAbort", "SGD", "clip_loss", "build_targets", "huber"]
+
+
+LOSS_OP = "detection_loss"
 
 
 class TrainAbort(RuntimeError):
@@ -82,9 +86,100 @@ def build_targets(
     return obj, box, mask
 
 
-def _bce_with_logits_mean(logits: Tensor, target: Tensor) -> Tensor:
-    # softplus(z) - t*z == -[t*log(sig(z)) + (1-t)*log(1-sig(z))]
-    return T.reduce_mean(T.add(T.softplus(logits), T.scale(T.mul(target, logits), -1.0)))
+def _times(x, value):
+    """x times a python scalar taken at x's dtype, as ``T.scale`` computes it."""
+    return x * np.asarray(value, dtype=x.dtype)
+
+
+def _map_loss_fwd(p, obj_t, box_t, mask, box_weight, beta):
+    """One prediction map's loss terms: the kernels of its composed chain in order.
+
+    The objectness term is mean(softplus(obj) - obj_t * obj); with n_pos
+    boxes the box term is box_weight / n_pos times the masked huber sums of
+    sigmoid(txy) - xy targets and twh - wh targets, the sigmoid composed as
+    exp(x - softplus(x)).
+    """
+    txy, twh, obj = (np.ascontiguousarray(p[:, :, a:b]) for a, b in ((0, 2), (2, 4), (4, 5)))
+    sp_obj, _ = T._softplus_fwd(obj)
+    obj_loss, _ = T._mean_fwd(sp_obj + _times(obj_t * obj, -1.0))
+    n_pos = float(mask.sum())
+    ctx = {"shape": p.shape, "obj": obj, "obj_t": obj_t, "n": obj.size, "n_pos": n_pos}
+    if n_pos == 0:
+        return [obj_loss], ctx
+    sig = np.exp(txy + _times(T._softplus_fwd(txy)[0], -1.0))
+    h_xy, ctx["h_xy"] = _huber_fwd(sig + -box_t[:, :, 0:2], beta)
+    h_wh, ctx["h_wh"] = _huber_fwd(twh + -box_t[:, :, 2:4], beta)
+    mask2 = np.repeat(mask, 2, axis=2)
+    box_sum = T._sum_fwd(h_xy * mask2)[0] + T._sum_fwd(h_wh * mask2)[0]
+    ctx.update(txy=txy, sig=sig, mask2=mask2, scale=np.asarray(box_weight / n_pos, dtype=box_sum.dtype))
+    return [obj_loss, box_sum * ctx["scale"]], ctx
+
+
+def _map_loss_bwd(ctx, g):
+    """Gradient of one map, from the gradient g of each of its terms."""
+    g_s = g / ctx["n"]                                   # the mean's adjoint, one value
+    g_obj = _times(g_s, -1.0) * ctx["obj_t"] + g_s * T._sigmoid_np(ctx["obj"])
+    g_p = np.zeros(ctx["shape"], dtype=g_obj.dtype)
+    g_p[:, :, 4:5] = g_obj
+    if ctx["n_pos"] == 0:
+        return g_p
+    g_masked = (g * ctx["scale"]) * ctx["mask2"]         # both huber sums' adjoint
+    g_p[:, :, 2:4], = _huber_bwd(ctx["h_wh"], g_masked)
+    g_z = _huber_bwd(ctx["h_xy"], g_masked)[0] * ctx["sig"]
+    g_p[:, :, 0:2] = g_z + _times(g_z, -1.0) * T._sigmoid_np(ctx["txy"])
+    # The chain summed three zero-padded slice gradients, which turns every
+    # -0.0 into +0.0; adding zero does the same.
+    return np.add(g_p, 0.0, out=g_p)
+
+
+def _loss_fwd(*maps, targets=(), frames=1, box_weight=1.0, huber_beta=1.0):
+    """Mean over ``frames`` of the per-frame detection loss, as one op.
+
+    ``maps`` are the prediction maps frame by frame, each frame's stages in
+    ``STAGE_NAMES`` order, and ``targets`` their (objectness, box, mask)
+    target maps. A frame's loss is its terms summed in order, and the frame
+    losses are summed in order before the mean, as the composed chain did.
+    """
+    if not maps or len(maps) != len(targets) or len(maps) % len(STAGE_NAMES):
+        raise ShapeError(f"detection_loss: {len(maps)} maps for {len(targets)} targets "
+                         f"and {len(STAGE_NAMES)} stages per frame")
+    ctxs, frame_losses = [], []
+    for i, (p, (obj_t, box_t, mask)) in enumerate(zip(maps, targets)):
+        if p.shape != obj_t.shape[:2] + (PRED_CHANNELS,):
+            raise ShapeError(f"detection_loss: map shape {p.shape}, targets need "
+                             f"{obj_t.shape[:2] + (PRED_CHANNELS,)}")
+        terms, ctx = _map_loss_fwd(p, obj_t, box_t, mask, box_weight, huber_beta)
+        ctxs.append(ctx)
+        if i % len(STAGE_NAMES) == 0:  # a frame's first map starts its sum
+            frame_losses.append(terms.pop(0))
+        for term in terms:
+            frame_losses[-1] = frame_losses[-1] + term
+    total = frame_losses[0]
+    for fl in frame_losses[1:]:
+        total = total + fl
+    mean = np.asarray(1.0 / frames, dtype=total.dtype)
+    return total * mean, {"maps": ctxs, "mean": mean}
+
+
+def _loss_bwd(ctx, g):
+    g_term = g * ctx["mean"]
+    return tuple(_map_loss_bwd(c, g_term) for c in ctx["maps"])
+
+
+register_op(LOSS_OP, _loss_fwd, _loss_bwd)
+
+
+def _loss(model: DetectionModel, preds, gts_per_frame, box_weight: float, huber_beta: float,
+          frames: int) -> Tensor:
+    """The loss op on the prediction maps of ``preds`` and the targets of their boxes."""
+    anchors = model.cfg["model"]["anchors"]
+    maps, targets = [], []
+    for pred, gts in zip(preds, gts_per_frame):
+        for stage in STAGE_NAMES:
+            maps.append(pred[stage])
+            targets.append(build_targets(gts, model.stage_shape(stage), STAGE_STRIDES[stage], anchors[stage]))
+    return T.op_forward(LOSS_OP, maps, targets=tuple(targets), frames=frames,
+                        box_weight=box_weight, huber_beta=huber_beta)
 
 
 def frame_loss(
@@ -94,43 +189,15 @@ def frame_loss(
     box_weight: float,
     huber_beta: float,
 ) -> Tensor:
-    anchors = model.cfg["model"]["anchors"]
-    terms = []
-    for stage in STAGE_NAMES:
-        p = preds[stage]
-        hs, ws = model.stage_shape(stage)
-        obj_t, box_t, mask = build_targets(gts, (hs, ws), STAGE_STRIDES[stage], anchors[stage])
-        n_pos = float(mask.sum())
-
-        txy = T.narrow(p, 2, 0, 2)
-        twh = T.narrow(p, 2, 2, 2)
-        obj = T.narrow(p, 2, 4, 1)
-
-        obj_loss = _bce_with_logits_mean(obj, Tensor(obj_t))
-        terms.append(obj_loss)
-        if n_pos > 0:
-            mask2 = Tensor(np.repeat(mask, 2, axis=2))
-            d_xy = T.add(T.sigmoid(txy), Tensor(-box_t[:, :, 0:2]))
-            d_wh = T.add(twh, Tensor(-box_t[:, :, 2:4]))
-            box_sum = T.add(
-                T.reduce_sum(T.mul(huber(d_xy, huber_beta), mask2)),
-                T.reduce_sum(T.mul(huber(d_wh, huber_beta), mask2)),
-            )
-            terms.append(T.scale(box_sum, box_weight / n_pos))
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return total
+    """One frame's loss: the loss op over a single frame."""
+    return _loss(model, [preds], [gts], box_weight, huber_beta, frames=1)
 
 
 def clip_loss(model: DetectionModel, frames, gts_per_frame, reset_every=None) -> Tensor:
-    """Mean per-frame loss over one clip (one recorded graph)."""
+    """Mean per-frame loss over one clip, one op on the clip's prediction maps."""
     preds = model.forward_frames(frames, reset_every=reset_every)
-    total = None
-    for pred, gts in zip(preds, gts_per_frame):
-        fl = frame_loss(pred, gts, model, model.cfg["train"]["box_weight"], model.cfg["train"]["huber_beta"])
-        total = fl if total is None else T.add(total, fl)
-    return T.scale(total, 1.0 / len(preds))
+    train_cfg = model.cfg["train"]
+    return _loss(model, preds, gts_per_frame, train_cfg["box_weight"], train_cfg["huber_beta"], len(preds))
 
 
 class SGD:

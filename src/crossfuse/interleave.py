@@ -36,6 +36,29 @@ RGB = 0
 THERMAL = 1
 
 
+# Index facts of every layout array, worked out once: id -> (array, min, max,
+# all distinct). The entry holds the array, so its id is never reused.
+_INDEX_FACTS: dict[int, tuple[np.ndarray, int, int, bool]] = {}
+
+
+def _index_facts(idx: np.ndarray) -> tuple[int, int, bool]:
+    """(min, max, every index distinct) of a 1-d index array."""
+    hit = _INDEX_FACTS.get(id(idx))
+    if hit is not None and hit[0] is idx:
+        return hit[1:]
+    if not idx.size:
+        return 0, -1, True
+    lo, hi = int(idx.min()), int(idx.max())
+    return lo, hi, lo >= 0 and bool(np.bincount(idx).max() <= 1)
+
+
+def _layout_indices(a: np.ndarray) -> np.ndarray:
+    """Freeze a layout's index array and record its facts for ``take_rows``."""
+    a.flags.writeable = False
+    _INDEX_FACTS[id(a)] = (a,) + _index_facts(a)
+    return a
+
+
 def _take_rows_fwd(*arrays, indices=None, width=None, shape=None):
     """Rows of the inputs, stacked in order, picked by ``indices``.
 
@@ -53,9 +76,11 @@ def _take_rows_fwd(*arrays, indices=None, width=None, shape=None):
         shape = (idx.size,) + arrays[0].shape[1:]
     rows = [a.reshape(-1, width) for a in arrays]
     stacked = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    if idx.size and (idx.min() < 0 or idx.max() >= stacked.shape[0]):
+    lo, hi, distinct = _index_facts(idx)
+    if lo < 0 or hi >= stacked.shape[0]:
         raise ShapeError(f"take_rows: index out of range for {stacked.shape[0]} rows")
-    ctx = {"indices": idx, "rows": [r.shape[0] for r in rows], "shapes": [a.shape for a in arrays]}
+    ctx = {"indices": idx, "distinct": distinct, "rows": [r.shape[0] for r in rows],
+           "shapes": [a.shape for a in arrays]}
     return stacked[idx].reshape(shape), ctx
 
 
@@ -65,12 +90,16 @@ def _take_rows_bwd(ctx, g):
     stacked = np.zeros((sum(ctx["rows"]), g_rows.shape[1]), dtype=g.dtype)
     # Rows picked once (every layout gather) are assigned; np.add.at, which
     # repeated rows need, is about ten times slower.
-    if np.bincount(idx, minlength=1).max() <= 1:
+    if ctx["distinct"]:
         stacked[idx] = g_rows
     else:
         np.add.at(stacked, idx, g_rows)
-    ends = np.cumsum(ctx["rows"])
-    return tuple(stacked[end - n:end].reshape(shape) for n, end, shape in zip(ctx["rows"], ends, ctx["shapes"]))
+    grads = []
+    start = 0
+    for n, shape in zip(ctx["rows"], ctx["shapes"]):
+        grads.append(stacked[start:start + n].reshape(shape))
+        start += n
+    return tuple(grads)
 
 
 register_op(TAKE_OP, _take_rows_fwd, _take_rows_bwd)
@@ -85,6 +114,7 @@ class OcfLayout:
     token and then block-row-major within the token, the flat index of each
     pixel in the stacked [rgb; thermal] row-major (rows*S, cols*S) maps, and
     ``scatter`` is its inverse. With S = 1 both are token permutations.
+    ``unflatten`` splits ``scatter`` into its RGB and its thermal half.
     """
 
     rows: int
@@ -92,6 +122,7 @@ class OcfLayout:
     order: tuple[tuple[int, int, int], ...]
     gather: np.ndarray
     scatter: np.ndarray
+    unflatten: tuple[np.ndarray, np.ndarray]
     patch: int = 1
 
     @property
@@ -106,11 +137,6 @@ def _column_order(cols: int) -> list[int]:
     return evens + odds
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _inverse(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=perm.dtype)
@@ -119,11 +145,11 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _block_pixels(rows: int, cols: int, patch: int) -> np.ndarray:
-    """(rows*cols, patch^2) flat pixel indices of every S x S block of a
-    (rows*S, cols*S) map, blocks row-major, pixels block-row-major."""
+    """Flat pixel indices of every S x S block of a (rows*S, cols*S) map,
+    blocks row-major, pixels block-row-major: rows*cols runs of patch^2."""
     r = np.arange(rows)[:, None, None, None] * patch + np.arange(patch)[None, None, :, None]
     c = np.arange(cols)[None, :, None, None] * patch + np.arange(patch)[None, None, None, :]
-    return _frozen((r * (cols * patch) + c).reshape(rows * cols, patch * patch))
+    return _layout_indices((r * (cols * patch) + c).reshape(-1))
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +163,13 @@ def build_layout(rows: int, cols: int, patch: int = 1) -> OcfLayout:
         for c in _column_order(cols):
             order.append((RGB, r, c))
             order.append((THERMAL, r, c))
-    blocks = _block_pixels(rows, cols, patch)
+    blocks = _block_pixels(rows, cols, patch).reshape(rows * cols, patch * patch)
     pixels = rows * cols * patch * patch
     gather = np.concatenate([m * pixels + blocks[r * cols + c] for (m, r, c) in order])
-    return OcfLayout(rows=rows, cols=cols, order=tuple(order), gather=_frozen(gather),
-                     scatter=_frozen(_inverse(gather)), patch=patch)
+    scatter = _layout_indices(_inverse(gather))
+    halves = tuple(_layout_indices(scatter[m * pixels:(m + 1) * pixels]) for m in (RGB, THERMAL))
+    return OcfLayout(rows=rows, cols=cols, order=tuple(order), gather=_layout_indices(gather),
+                     scatter=scatter, unflatten=halves, patch=patch)
 
 
 def ocf_flatten(rgb: Tensor, thermal: Tensor, layout: Optional[OcfLayout] = None) -> Tensor:
@@ -178,13 +206,9 @@ def ocf_unflatten(tokens: Tensor, layout: OcfLayout) -> tuple[Tensor, Tensor]:
     if tokens.shape[1] % (s * s):
         raise ShapeError(f"ocf_unflatten: token width {tokens.shape[1]} is not divisible by {s}^2")
     channels = tokens.shape[1] // (s * s)
-    pixels = layout.scatter.size // 2
     shape = (layout.rows * s, layout.cols * s, channels)
-    return tuple(
-        T.op_forward(TAKE_OP, (tokens,), indices=layout.scatter[m * pixels:(m + 1) * pixels],
-                     width=channels, shape=shape)
-        for m in (RGB, THERMAL)
-    )
+    return tuple(T.op_forward(TAKE_OP, (tokens,), indices=half, width=channels, shape=shape)
+                 for half in layout.unflatten)
 
 
 def space_to_depth(x: Tensor, size: int) -> Tensor:
@@ -197,6 +221,5 @@ def space_to_depth(x: Tensor, size: int) -> Tensor:
         raise ValueError(f"patch size must be >= 1, got {size}")
     if h % size or w % size:
         raise ShapeError(f"space_to_depth: size {size} does not divide map {h}x{w}")
-    blocks = _block_pixels(h // size, w // size, size)
-    return T.op_forward(TAKE_OP, (x,), indices=blocks.reshape(-1), width=c,
+    return T.op_forward(TAKE_OP, (x,), indices=_block_pixels(h // size, w // size, size), width=c,
                         shape=(h // size, w // size, size * size * c))

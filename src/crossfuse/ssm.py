@@ -20,6 +20,11 @@ chain of core ops it replaces and its adjoint runs their adjoints in reverse
 tape order, so results equal that chain's bit for bit, with one dispatch
 instead of twelve. ``scan_step`` advances one
 token at a time for streaming inference.
+
+A gated residual block is likewise one op, ``mamba_block``: layer norm, the
+in-projection, the causal conv, silu, the scan, the silu gate and the
+residual output projection, with the adjoints of those ten ops replayed in
+reverse tape order.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
 ]
 
 SCAN_OP = "ssm_scan"
+BLOCK_OP = "mamba_block"
 
 
 def default_dt_rank(dim: int) -> int:
@@ -158,19 +164,21 @@ def _recurrence_bwd(ctx, g):
     x, delta, b_seq, a = ctx["x"], ctx["delta"], ctx["b_seq"], ctx["a"]
     state0, d_a, h_all = ctx["state0"], ctx["d_a"], ctx["h_all"]
     length = x.shape[0]
-    g_da = np.empty_like(d_a)
     g_dbx = np.empty_like(d_a)
     acc = np.zeros_like(state0)
     for t in range(length - 1, -1, -1):
         acc = np.add(acc, g[t], out=g_dbx[t])
-        np.multiply(acc, h_all[t - 1] if t > 0 else state0, out=g_da[t])
         acc = d_a[t] * acc
     g_state0 = acc
-    dx_delta = delta * x
-    g_delta = (g_da * d_a * a[None]).sum(axis=-1) + (g_dbx * b_seq[:, None, :]).sum(axis=-1) * x
-    g_x = (g_dbx * b_seq[:, None, :]).sum(axis=-1) * delta
-    g_b = (g_dbx * dx_delta[:, :, None]).sum(axis=1)
-    g_a = (g_da * d_a * delta[:, :, None]).sum(axis=0)
+    g_da = np.empty_like(d_a)                              # g_dbx times the previous state
+    np.multiply(g_dbx[0], state0, out=g_da[0])
+    np.multiply(g_dbx[1:], h_all[:-1], out=g_da[1:])
+    g_da_da = g_da * d_a
+    g_dbx_b = (g_dbx * b_seq[:, None, :]).sum(axis=-1)
+    g_delta = (g_da_da * a[None]).sum(axis=-1) + g_dbx_b * x
+    g_x = g_dbx_b * delta
+    g_b = (g_dbx * (delta * x)[:, :, None]).sum(axis=1)
+    g_a = (g_da_da * delta[:, :, None]).sum(axis=0)
     return g_x, g_delta, g_b, g_a, g_state0
 
 
@@ -411,19 +419,57 @@ def init_block(
     )
 
 
+def _block_fwd(tokens, norm_gamma, norm_beta, in_w, conv_k, conv_b, gate_w, out_w, out_b,
+               w_b, dt_down, dt_up, dt_bias, a_log, w_out):
+    """One gated block as one op: the kernels of its ten-op chain, in order.
+
+    n = layer_norm(tokens); s = silu(conv(n @ in_w)); y = scan(s);
+    out = tokens + (y * silu(n @ gate_w)) @ out_w + out_b.
+    """
+    n, c_n = T._layer_norm_fwd(tokens, norm_gamma, norm_beta)
+    a, c_a = T._matmul_fwd(n, in_w)
+    c, c_c = T._conv1d_fwd(a, conv_k, conv_b)
+    s, c_s = T._silu_fwd(c)
+    y, c_y = _scan_fwd(s, w_b, dt_down, dt_up, dt_bias, a_log, w_out)
+    gm, c_gm = T._matmul_fwd(n, gate_w)
+    gs, c_gs = T._silu_fwd(gm)
+    mixed, c_mix = T._mul_fwd(y, gs)
+    o, c_o = T._linear_fwd(mixed, out_w, out_b)
+    out, c_out = T._add_fwd(tokens, o)
+    return out, (c_n, c_a, c_c, c_s, c_y, c_gm, c_gs, c_mix, c_o, c_out)
+
+
+def _block_bwd(ctx, g):
+    """The chain's adjoints in reverse tape order; n sums gate + in, tokens
+    sums residual + norm, as the tape accumulated them."""
+    c_n, c_a, c_c, c_s, c_y, c_gm, c_gs, c_mix, c_o, c_out = ctx
+    g_res, g_o = T._add_bwd(c_out, g)
+    g_mixed, g_out_w, g_out_b = T._linear_bwd(c_o, g_o)
+    g_y, g_gs = T._mul_bwd(c_mix, g_mixed)
+    g_gm, = T._silu_bwd(c_gs, g_gs)
+    g_n_gate, g_gate_w = T._matmul_bwd(c_gm, g_gm)
+    g_s, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out = _scan_bwd(c_y, g_y)
+    g_c, = T._silu_bwd(c_s, g_s)
+    g_a, g_conv_k, g_conv_b = T._conv1d_bwd(c_c, g_c)
+    g_n_in, g_in_w = T._matmul_bwd(c_a, g_a)
+    g_norm, g_gamma, g_beta = T._layer_norm_bwd(c_n, g_n_gate + g_n_in)
+    return (g_res + g_norm, g_gamma, g_beta, g_in_w, g_conv_k, g_conv_b, g_gate_w, g_out_w, g_out_b,
+            g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out)
+
+
+register_op(BLOCK_OP, _block_fwd, _block_bwd)
+
+
 def block_forward(block: MambaBlockParams, tokens: Tensor) -> Tensor:
-    """Apply one gated SSM block; shape-preserving (L, d) -> (L, d)."""
+    """Apply one gated SSM block; shape-preserving (L, d) -> (L, d), one op."""
     if tokens.ndim != 2 or tokens.shape[1] != block.dim:
         raise ShapeError(f"block_forward: tokens shape {tokens.shape} incompatible with block dim {block.dim}")
-    n = T.layer_norm(tokens, block.norm_gamma, block.norm_beta)
-    a = T.matmul(n, block.in_w)
-    c = T.conv1d_causal(a, block.conv_k, block.conv_b)
-    s = T.silu(c)
-    y = _scan(block.ssm, s, None, final_state=False)
-    g = T.silu(T.matmul(n, block.gate_w))
-    mixed = T.mul(y, g)
-    out = T.linear(mixed, block.out_w, block.out_b)
-    return T.add(tokens, out)
+    if tokens.shape[0] < 1:
+        raise ShapeError("block_forward: empty sequence")
+    ssm = block.ssm
+    return T.op_forward(BLOCK_OP, (
+        tokens, block.norm_gamma, block.norm_beta, block.in_w, block.conv_k, block.conv_b, block.gate_w,
+        block.out_w, block.out_b, ssm.w_b, ssm.dt_down, ssm.dt_up, ssm.dt_bias, ssm.a_log, ssm.w_out))
 
 
 def stack_forward(blocks: Sequence[MambaBlockParams], tokens: Tensor) -> tuple[Tensor, list[Tensor]]:

@@ -260,6 +260,9 @@ def load_stream_state(dirpath) -> StreamState:
     tensors, meta = load_checkpoint(dirpath)
     if meta.get("kind") != "stream_state":
         raise ValueError(f"{dirpath} does not hold a stream state")
+    missing = sorted(key for keys in meta["carry_names"].values() for key in keys if key not in tensors)
+    if missing:
+        raise ValueError(f"stream state lists carry tensors the checkpoint does not hold: {missing[:5]}")
     carries = {
         stage: [tensors[key] for key in keys]
         for stage, keys in meta["carry_names"].items()

@@ -181,12 +181,16 @@ def register_op(kind: str, forward: Callable, backward: Callable) -> None:
     _OP_REGISTRY[kind] = OpDef(kind, forward, backward)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
+    """One recorded op. ``backward`` is the adjoint the registry held for the
+    kind when the op ran, so ``backward()`` needs no registry lookup."""
+
     kind: str
     inputs: tuple[Tensor, ...]
     output: Tensor
-    ctx: dict
+    ctx: object
+    backward: Callable
 
 
 class Graph:
@@ -238,7 +242,7 @@ def op_forward(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     stack = _tls.stack
     if stack:
         graph = stack[-1]
-        graph.nodes.append(Node(kind, tuple(inputs), out, ctx))
+        graph.nodes.append(Node(kind, tuple(inputs), out, ctx, opdef.backward))
         for t in inputs:
             if t.trainable:
                 graph.parameters.setdefault(t.name, t)
@@ -261,7 +265,7 @@ def backward(graph: Graph, loss: Tensor, parameters: Optional[Iterable[Tensor]] 
         g_out = grads.pop(id(node.output), None)
         if g_out is None:
             continue
-        in_grads = _OP_REGISTRY[node.kind].backward(node.ctx, g_out)
+        in_grads = node.backward(node.ctx, g_out)
         if len(in_grads) != len(node.inputs):
             raise GraphError(f"{node.kind}: backward returned {len(in_grads)} grads for {len(node.inputs)} inputs")
         for t, g in zip(node.inputs, in_grads):
@@ -270,10 +274,8 @@ def backward(graph: Graph, loss: Tensor, parameters: Optional[Iterable[Tensor]] 
             if g.shape != t.shape:
                 raise GraphError(f"{node.kind}: gradient shape {g.shape} != input shape {t.shape}")
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
+            prev = grads.get(key)
+            grads[key] = g if prev is None else prev + g
     out: dict[str, Tensor] = {}
     for name, p in graph.parameters.items():
         g = grads.get(id(p))
@@ -492,7 +494,7 @@ def _layer_norm_fwd(x, gamma, beta, eps=1e-5):
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} must be ({d},) for input {x.shape}"
         )
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True, mean=mean)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean) * inv
     y = xhat * gamma + beta
@@ -565,8 +567,14 @@ def _concat_fwd(*arrays, axis=0):
 
 
 def _concat_bwd(ctx, g):
-    splits = np.cumsum(ctx["sizes"])[:-1]
-    return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=ctx["axis"]))
+    idx = [slice(None)] * g.ndim
+    parts = []
+    start = 0
+    for size in ctx["sizes"]:
+        idx[ctx["axis"]] = slice(start, start + size)
+        parts.append(np.ascontiguousarray(g[tuple(idx)]))
+        start += size
+    return tuple(parts)
 
 
 def _slice_fwd(x, axis=0, start=0, length=1):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from composed import composed_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from crossfuse.ssm import (
     scan_step,
     stack_forward,
 )
-from crossfuse.temporal import walk_parameters
+from crossfuse.temporal import swap_parameters, walk_parameters
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check
 
 LN2 = math.log(2.0)
@@ -401,9 +402,30 @@ def test_block_gradients_flow_to_every_family():
 # The fused scan op against the chain of core ops it replaces
 # ---------------------------------------------------------------------------
 
+def _stepwise_recurrence_bwd(ctx, g):
+    """The recurrence's adjoint as first written, forming g_da inside the
+    loop and every product where it is used; the leaner kernel must match it."""
+    x, delta, b_seq, a = ctx["x"], ctx["delta"], ctx["b_seq"], ctx["a"]
+    state0, d_a, h_all = ctx["state0"], ctx["d_a"], ctx["h_all"]
+    length = x.shape[0]
+    g_da = np.empty_like(d_a)
+    g_dbx = np.empty_like(d_a)
+    acc = np.zeros_like(state0)
+    for t in range(length - 1, -1, -1):
+        acc = np.add(acc, g[t], out=g_dbx[t])
+        np.multiply(acc, h_all[t - 1] if t > 0 else state0, out=g_da[t])
+        acc = d_a[t] * acc
+    dx_delta = delta * x
+    g_delta = (g_da * d_a * a[None]).sum(axis=-1) + (g_dbx * b_seq[:, None, :]).sum(axis=-1) * x
+    g_x = (g_dbx * b_seq[:, None, :]).sum(axis=-1) * delta
+    g_b = (g_dbx * dx_delta[:, :, None]).sum(axis=1)
+    g_a = (g_da * d_a * delta[:, :, None]).sum(axis=0)
+    return g_x, g_delta, g_b, g_a, acc
+
+
 # The recurrence alone as a taped op, so the oracle below records the same
 # twelve-node chain that scan_sequence recorded before the scan was fused.
-T.register_op("test_recurrence", ssm_mod._recurrence_fwd, ssm_mod._recurrence_bwd)
+T.register_op("test_recurrence", ssm_mod._recurrence_fwd, _stepwise_recurrence_bwd)
 
 
 def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
@@ -481,6 +503,82 @@ def test_fused_scan_gradients_without_state_match_finite_differences():
             dt_up=p["s.dt_up"], dt_bias=p["s.dt_bias"], w_out=p["s.w_out"],
         )
         y = ssm_mod._scan(sp, p["s.x"], None, final_state=False)
+        return T.reduce_sum(T.mul(y, y))
+
+    report = grad_check(f, params)
+    assert report.max_rel_error < 1e-3, (
+        f"worst {report.worst_param}[{report.worst_index}] = {report.max_rel_error:.3e}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The fused block op against the ten-op chain it replaces
+# ---------------------------------------------------------------------------
+
+def _random_block(rng, dim, state, conv, expand):
+    """A block with every parameter drawn at random, so no gradient is trivially zero."""
+    block = init_block(rng, dim, state_size=state, conv_kernel=conv, expand=expand, prefix="b")
+    swap_parameters(block, {t.name: Tensor(rng.normal(0, 0.5, t.shape).astype(np.float32))
+                            for _, _, t in walk_parameters(block)})
+    return block
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    state=st.integers(min_value=1, max_value=4),
+    conv=st.integers(min_value=1, max_value=4),
+    expand=st.integers(min_value=1, max_value=2),
+    length=st.integers(min_value=1, max_value=12),
+    carry=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_fused_block_equals_composed_chain_bit_for_bit(dim, state, conv, expand, length, carry, seed):
+    rng = np.random.default_rng(seed)
+    block = _random_block(rng, dim, state, conv, expand)
+    x = T.parameter(rng.normal(0, 1.0, (length, dim)).astype(np.float32), "b.x")
+    row = T.parameter(rng.normal(0, 1.0, (1, dim)).astype(np.float32), "b.carry")
+    w = Tensor(rng.normal(size=(length + carry, dim)).astype(np.float32))
+
+    def run(block_fn):
+        with Graph() as g:
+            tokens = T.concat([row, x], axis=0) if carry else x
+            out = block_fn(block, tokens)
+            loss = T.reduce_sum(T.mul(out, w))
+        return out, backward(g, loss, parameters=[row])
+
+    out, grads = run(block_forward)
+    out_ref, grads_ref = run(composed_block)
+    _assert_same_bits(out.data, out_ref.data, "block output")
+    assert sorted(grads) == sorted(grads_ref)
+    assert len(grads) == 14 + 2  # block parameters, tokens, carry row
+    for name in grads:
+        _assert_same_bits(grads[name].data, grads_ref[name].data, name)
+
+
+def test_block_is_one_op():
+    rng = np.random.default_rng(14)
+    block = _random_block(rng, 3, 2, 2, 2)
+    with Graph() as g:
+        block_forward(block, Tensor(rng.normal(size=(5, 3)).astype(np.float32)))
+    assert [n.kind for n in g.nodes] == ["mamba_block"]
+
+
+def test_block_rejects_an_empty_sequence():
+    block = init_block(np.random.default_rng(15), dim=2)
+    with pytest.raises(ShapeError, match="empty sequence"):
+        block_forward(block, Tensor(np.zeros((0, 2), np.float32)))
+
+
+def test_fused_block_gradients_match_finite_differences():
+    rng = np.random.default_rng(16)
+    block = _random_block(rng, 2, 2, 2, 2)
+    params = {t.name: t for _, _, t in walk_parameters(block)}
+    params["b.x"] = T.parameter(rng.normal(0, 0.8, (4, 2)).astype(np.float32), "b.x")
+
+    def f(p):
+        swap_parameters(block, {k: v for k, v in p.items() if k != "b.x"})
+        y = block_forward(block, p["b.x"])
         return T.reduce_sum(T.mul(y, y))
 
     report = grad_check(f, params)

@@ -252,6 +252,17 @@ def test_fuse_next_names_stages_missing_from_a_loaded_state(tmp_path):
         fuse_next(model, state, _clip(configs, 1)[0])
 
 
+def test_load_stream_state_names_carry_tensors_missing_from_the_checkpoint(tmp_path):
+    configs = _configs()
+    save_stream_state(tmp_path / "state", init_stream(build_model(configs, seed=0)))
+    index_path = tmp_path / "state" / INDEX_NAME
+    index = json.loads(index_path.read_text())
+    index["metadata"]["carry_names"]["f1"].append("f1.carry7")
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(ValueError, match=r"does not hold: \['f1.carry7'\]"):
+        load_stream_state(tmp_path / "state")
+
+
 def test_fuse_next_rejects_incomplete_pyramid():
     configs = _configs()
     model = build_model(configs, seed=0)
