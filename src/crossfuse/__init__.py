@@ -29,7 +29,6 @@ from .ssm import (
     SSMParams,
     SSMState,
     block_forward,
-    discretize,
     init_block,
     init_ssm,
     scan_sequence,
@@ -99,7 +98,6 @@ __all__ = [
     "SSMParams",
     "SSMState",
     "MambaBlockParams",
-    "discretize",
     "scan_sequence",
     "scan_step",
     "block_forward",

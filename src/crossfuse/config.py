@@ -1,9 +1,9 @@
 """Run configuration: a single JSON document drives gen/train/eval/profile.
 
-The file must carry ``schema_version: 1``. Unknown top-level keys are
-rejected so typos fail loudly rather than silently falling back to
-defaults. ``CROSSFUSE_DETERMINISTIC=0`` in the environment replaces the
-configured seed with a fresh one (the default is fully deterministic runs).
+The file must carry ``schema_version: 1``. A key the defaults do not have,
+at any level and in any ``model.stages`` entry, is rejected so typos fail
+loudly rather than silently falling back to defaults. Runs are seeded by
+the config's ``seed``.
 """
 
 from __future__ import annotations
@@ -11,14 +11,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import os
-import secrets
-from pathlib import Path
 
 from .fusion import StageConfig
 
 __all__ = [
     "DEFAULT_CONFIG",
+    "FUSER_NAMES",
     "load_config",
     "default_config",
     "config_model_hash",
@@ -33,6 +31,7 @@ SCHEMA_VERSION = 1
 STAGE_NAMES = ("f1", "f2", "f3")
 STAGE_WIDTH_FACTORS = {"f1": 4, "f2": 8, "f3": 16}
 STAGE_STRIDES = {"f1": 8, "f2": 16, "f3": 32}
+FUSER_NAMES = ("none-rgb", "none-thermal", "feature-add", "mambast")
 
 DEFAULT_CONFIG = {
     "schema_version": SCHEMA_VERSION,
@@ -77,26 +76,28 @@ DEFAULT_CONFIG = {
     },
 }
 
-_TOP_KEYS = set(DEFAULT_CONFIG)
+_STAGE_KEYS = set(DEFAULT_CONFIG["model"]["stages"][0])
 
 
 def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict, source: str, path: str = "") -> dict:
+    unknown = [f"{path}{key}" for key in override if key not in base]
+    if unknown:
+        raise ValueError(f"{source}: unknown config keys {unknown}")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value, where)
+        if isinstance(value, dict) and isinstance(out[key], dict):
+            out[key] = _merge(out[key], value, source, f"{path}{key}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
 def load_config(path) -> dict:
-    """Read a config file, fill defaults, validate, and apply env overrides."""
+    """Read a config file, fill defaults and validate."""
     with open(path) as fp:
         raw = json.load(fp)
     return normalize_config(raw, source=str(path))
@@ -105,14 +106,9 @@ def load_config(path) -> dict:
 def normalize_config(raw: dict, source: str = "<dict>") -> dict:
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{source}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"{source}: unknown config keys {sorted(unknown)}")
-    cfg = _merge(DEFAULT_CONFIG, raw)
-    if cfg["fuser"] not in ("none-rgb", "none-thermal", "feature-add", "mambast"):
+    cfg = _merge(DEFAULT_CONFIG, raw, source)
+    if cfg["fuser"] not in FUSER_NAMES:
         raise ValueError(f"{source}: unknown fuser {cfg['fuser']!r}")
-    if os.environ.get("CROSSFUSE_DETERMINISTIC", "1") == "0":
-        cfg["seed"] = secrets.randbits(31)
     # Fail early on inconsistent fusion geometry.
     stage_configs_from(cfg)
     return cfg
@@ -130,7 +126,10 @@ def stage_configs_from(cfg: dict) -> list[StageConfig]:
     model = cfg["model"]
     widths = backbone_widths(cfg)
     out = []
-    for entry in model["stages"]:
+    for i, entry in enumerate(model["stages"]):
+        unknown = sorted(set(entry) - _STAGE_KEYS)
+        if unknown:
+            raise ValueError(f"model.stages[{i}]: unknown keys {unknown}")
         name = entry["stage"]
         if name not in STAGE_NAMES:
             raise ValueError(f"unknown stage {name!r}, expected one of {STAGE_NAMES}")
@@ -149,7 +148,6 @@ def stage_configs_from(cfg: dict) -> list[StageConfig]:
                 state_size=model["state_size"],
                 conv_kernel=model["conv_kernel"],
                 expand=model["expand"],
-                dt_rank=model.get("dt_rank"),
             )
         )
     if [c.name for c in out] != list(STAGE_NAMES):

@@ -277,7 +277,7 @@ def stage_forward(
         s = head.patch_size
         layout = build_layout(cfg.height // s, cfg.width // s, s)
         z = ocf_flatten(e_rgb, e_thm, layout)
-        x = T.matmul(z, head.w_in)
+        x = T.linear(z, head.w_in)
         carry = carries[k] if carries is not None else None
         if carry is not None:
             if carry.shape != (1, head.head_dim):

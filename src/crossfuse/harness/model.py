@@ -16,24 +16,25 @@ pointwise linear maps producing (H_s, W_s, 5) per stage: box offsets
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .. import tensor as T
-from ..config import backbone_widths, config_model_hash, stage_configs_from, STAGE_NAMES, STAGE_STRIDES
+from ..config import backbone_widths, stage_configs_from, FUSER_NAMES, STAGE_NAMES, STAGE_STRIDES
 from ..interleave import space_to_depth
 from ..temporal import FeaturePair, FusionModel, build_model, fuse_clip, swap_parameters, walk_parameters
 from ..tensor import ShapeError, Tensor
 
 __all__ = ["DetectionModel", "FUSER_NAMES", "PRED_CHANNELS"]
 
-FUSER_NAMES = ("none-rgb", "none-thermal", "feature-add", "mambast")
 PRED_CHANNELS = 5  # tx, ty, tw, th, objectness
 
-# Backbone reduction per stage: f1 patches the image by 8, later stages
-# patch the previous stage by 2.
-_STAGE_PATCH = {"f1": 8, "f2": 2, "f3": 2}
+# Backbone reduction per stage: each stage patches the one before it (f1 the
+# image, at stride 1) by the ratio of their strides.
+_STAGE_PATCH = {name: stride // prev for name, (prev, stride) in
+                zip(STAGE_NAMES, pairwise([1] + [STAGE_STRIDES[s] for s in STAGE_NAMES]))}
 _MODALITY_CHANNELS = {"rgb": 3, "thermal": 1}
 
 
@@ -45,7 +46,6 @@ class DetectionModel:
             raise ValueError(f"unknown fuser {cfg['fuser']!r}, expected one of {FUSER_NAMES}")
         self.cfg = cfg
         self.fuser = cfg["fuser"]
-        self.hash = config_model_hash(cfg)
         self.widths = backbone_widths(cfg)
         rng = np.random.default_rng(cfg["seed"])
 

@@ -21,7 +21,7 @@ import math
 import platform
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,25 +160,7 @@ class ProfileReport:
     reference: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [
-                {
-                    "name": s.name,
-                    "params": s.params,
-                    "flops": s.flops,
-                    "latency_ms_median": s.latency_ms_median,
-                    "latency_ms_p95": s.latency_ms_p95,
-                }
-                for s in self.stages
-            ],
-            "total_params": self.total_params,
-            "total_flops": self.total_flops,
-            "total_latency_ms_median": self.total_latency_ms_median,
-            "total_latency_ms_p95": self.total_latency_ms_p95,
-            "conventions": self.conventions,
-            "machine": self.machine,
-            "reference": self.reference,
-        }
+        return asdict(self)
 
 
 def _machine_descriptor() -> str:

@@ -18,8 +18,8 @@ projections, the softplus, A = -exp(a_log), the recurrence and the readout
 y = sum_n w_out * h in one tape node. Its forward runs the kernels of the
 chain of core ops it replaces and its adjoint runs their adjoints in reverse
 tape order, so results equal that chain's bit for bit, with one dispatch
-instead of twelve. ``scan_step`` advances one
-token at a time for streaming inference.
+instead of twelve. ``scan_step`` advances one token at a time for streaming
+inference by running the same kernel on a one-token sequence.
 
 A gated residual block is likewise one op, ``mamba_block``: layer norm, the
 in-projection, the causal conv, silu, the scan, the silu gate and the
@@ -42,7 +42,6 @@ __all__ = [
     "SSMParams",
     "SSMState",
     "MambaBlockParams",
-    "discretize",
     "scan_step",
     "scan_sequence",
     "init_ssm",
@@ -122,26 +121,8 @@ class SSMState:
 
 
 # ---------------------------------------------------------------------------
-# Discretization and the scan kernels
+# The scan kernels
 # ---------------------------------------------------------------------------
-
-def discretize(a, b, delta):
-    """Map continuous (A, B) to one-step (A_bar, B_bar) for step size delta.
-
-    Accepts numpy arrays (or scalars): ``a`` of shape (C, N), ``delta`` scalar
-    or (C,), ``b`` scalar or (N,). Returns arrays shaped like ``a``. delta
-    must be strictly positive everywhere.
-    """
-    a = np.asarray(a, dtype=np.float64) if not isinstance(a, np.ndarray) else a
-    b = np.asarray(b, dtype=a.dtype)
-    delta = np.asarray(delta, dtype=a.dtype)
-    if np.any(delta <= 0):
-        raise ValueError(f"discretize: delta must be positive, min was {delta.min()}")
-    d_col = delta if delta.ndim == 0 else delta[..., None]
-    a_bar = np.exp(d_col * a)
-    b_bar = d_col * b
-    return a_bar, np.broadcast_to(b_bar, a_bar.shape).copy()
-
 
 def _recurrence_fwd(x, delta, b_seq, a, state0):
     """h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t over the whole sequence."""
@@ -197,9 +178,9 @@ def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None, final_
         state0 = np.zeros((channels, n), dtype=x.dtype)
     elif state0.shape != (channels, n):
         raise ShapeError(f"ssm_scan: initial state shape {state0.shape} != {(channels, n)}")
-    b_seq, c_b = T._matmul_fwd(x, w_b)                  # (L, N)
-    low, c_low = T._matmul_fwd(x, dt_down)              # (L, R)
-    up, c_up = T._matmul_fwd(low, dt_up)                # (L, C)
+    b_seq, c_b = T._linear_fwd(x, w_b)                  # (L, N)
+    low, c_low = T._linear_fwd(x, dt_down)              # (L, R)
+    up, c_up = T._linear_fwd(low, dt_up)                # (L, C)
     pre, c_pre = T._add_fwd(up, dt_bias)
     delta, c_delta = T._softplus_fwd(pre)
     e_a, c_ea = T._exp_fwd(a_log)                       # A = -exp(a_log), (C, N)
@@ -224,9 +205,9 @@ def _scan_bwd(ctx, g):
     g_a_log, = T._exp_bwd(ctx["ea"], -g_a)
     g_pre, = T._softplus_bwd(ctx["delta"], g_delta)
     g_up, g_dt_bias = T._add_bwd(ctx["pre"], g_pre)
-    g_low, g_dt_up = T._matmul_bwd(ctx["up"], g_up)
-    g_x_delta, g_dt_down = T._matmul_bwd(ctx["low"], g_low)
-    g_x_b, g_w_b = T._matmul_bwd(ctx["b"], g_b)
+    g_low, g_dt_up = T._linear_bwd(ctx["up"], g_up)
+    g_x_delta, g_dt_down = T._linear_bwd(ctx["low"], g_low)
+    g_x_b, g_w_b = T._linear_bwd(ctx["b"], g_b)
     grads = ((g_x + g_x_delta) + g_x_b, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out)
     return grads + (g_state0,) if ctx["has_state0"] else grads
 
@@ -264,7 +245,8 @@ def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] 
 
 
 def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, SSMState]:
-    """Advance the scan by a single token. Pure inference; never recorded.
+    """Advance the scan by a single token: the sequence kernel on a one-token
+    sequence, called directly, so it is never recorded.
 
     Args:
         x_t:   (C,) one token.
@@ -279,17 +261,10 @@ def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, 
         raise ShapeError(
             f"scan_step: state shape {state.h.shape} != {(params.channels, params.state_size)}"
         )
-    x = x_t.data
-    b_t = x @ params.w_b.data                                          # (N,)
-    pre = (x @ params.dt_down.data) @ params.dt_up.data + params.dt_bias.data
-    delta_t = np.logaddexp(np.array(0.0, dtype=pre.dtype), pre)        # (C,)
-    a = -np.exp(params.a_log.data)
-    a_bar, _ = discretize(a, b_t, delta_t)
-    # (delta * x) * B in the sequence scan's order, so the two differ only by
-    # the rounding of the projections.
-    h_new = a_bar * state.h.data + (delta_t * x)[:, None] * b_t[None, :]
-    y = (params.w_out.data * h_new).sum(axis=-1)
-    return Tensor(y), SSMState(Tensor(h_new))
+    out, _ = _scan_fwd(x_t.data[None], params.w_b.data, params.dt_down.data, params.dt_up.data,
+                       params.dt_bias.data, params.a_log.data, params.w_out.data,
+                       state0=state.h.data, final_state=True)
+    return Tensor(out[0]), SSMState(Tensor(out[1:].T))
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +402,11 @@ def _block_fwd(tokens, norm_gamma, norm_beta, in_w, conv_k, conv_b, gate_w, out_
     out = tokens + (y * silu(n @ gate_w)) @ out_w + out_b.
     """
     n, c_n = T._layer_norm_fwd(tokens, norm_gamma, norm_beta)
-    a, c_a = T._matmul_fwd(n, in_w)
+    a, c_a = T._linear_fwd(n, in_w)
     c, c_c = T._conv1d_fwd(a, conv_k, conv_b)
     s, c_s = T._silu_fwd(c)
     y, c_y = _scan_fwd(s, w_b, dt_down, dt_up, dt_bias, a_log, w_out)
-    gm, c_gm = T._matmul_fwd(n, gate_w)
+    gm, c_gm = T._linear_fwd(n, gate_w)
     gs, c_gs = T._silu_fwd(gm)
     mixed, c_mix = T._mul_fwd(y, gs)
     o, c_o = T._linear_fwd(mixed, out_w, out_b)
@@ -447,11 +422,11 @@ def _block_bwd(ctx, g):
     g_mixed, g_out_w, g_out_b = T._linear_bwd(c_o, g_o)
     g_y, g_gs = T._mul_bwd(c_mix, g_mixed)
     g_gm, = T._silu_bwd(c_gs, g_gs)
-    g_n_gate, g_gate_w = T._matmul_bwd(c_gm, g_gm)
+    g_n_gate, g_gate_w = T._linear_bwd(c_gm, g_gm)
     g_s, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out = _scan_bwd(c_y, g_y)
     g_c, = T._silu_bwd(c_s, g_s)
     g_a, g_conv_k, g_conv_b = T._conv1d_bwd(c_c, g_c)
-    g_n_in, g_in_w = T._matmul_bwd(c_a, g_a)
+    g_n_in, g_in_w = T._linear_bwd(c_a, g_a)
     g_norm, g_gamma, g_beta = T._layer_norm_bwd(c_n, g_n_gate + g_n_in)
     return (g_res + g_norm, g_gamma, g_beta, g_in_w, g_conv_k, g_conv_b, g_gate_w, g_out_w, g_out_b,
             g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out)

@@ -1,10 +1,11 @@
 """Dense float tensors with taped reverse-mode differentiation.
 
-The op set is deliberately small: elementwise add/mul, matmul, a pointwise
-linear map, a causal depthwise 1-d convolution, layer norm, silu, softplus,
-exp, and the shape ops (concat, slice, reshape, transpose, sum/mean
-reductions). Domain modules that need a fused kernel register it through
-``register_op`` instead of growing this file.
+The op set is deliberately small: elementwise add/mul, a linear map
+``x @ w`` with an optional bias (also behind ``Tensor.__matmul__``), a causal
+depthwise 1-d convolution, layer norm, silu, softplus, exp, and the shape
+ops (concat, slice, reshape, transpose, sum/mean reductions). Domain
+modules that need a fused kernel register it through ``register_op``
+instead of growing this file.
 
 Values are immutable: every op returns a fresh ``Tensor`` and the backing
 numpy buffers are marked read-only. Recording is explicit; ops executed
@@ -39,7 +40,6 @@ __all__ = [
     "add",
     "mul",
     "scale",
-    "matmul",
     "linear",
     "conv1d_causal",
     "layer_norm",
@@ -117,10 +117,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def to_numpy(self) -> np.ndarray:
-        """Read-only view of the backing array."""
-        return self.data
-
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), name=self.name, trainable=self.trainable)
 
@@ -131,7 +127,7 @@ class Tensor:
         return mul(self, other)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
+        return linear(self, other)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -416,19 +412,6 @@ def _mul_bwd(ctx, g):
     return _reduce_to_shape(g * b, a.shape), _reduce_to_shape(g * a, b.shape)
 
 
-def _matmul_fwd(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return a @ b, {"a": a, "b": b}
-
-
-def _matmul_bwd(ctx, g):
-    a, b = ctx["a"], ctx["b"]
-    return g @ b.T, a.T @ g
-
-
 def _linear_fwd(x, w, b=None):
     if w.ndim != 2:
         raise ShapeError(f"linear: weight must be rank-2, got {w.shape}")
@@ -664,7 +647,6 @@ def _mean_bwd(ctx, g):
 
 register_op("add", _add_fwd, _add_bwd)
 register_op("mul", _mul_fwd, _mul_bwd)
-register_op("matmul", _matmul_fwd, _matmul_bwd)
 register_op("linear", _linear_fwd, _linear_bwd)
 register_op("conv1d_causal", _conv1d_fwd, _conv1d_bwd)
 register_op("layer_norm", _layer_norm_fwd, _layer_norm_bwd)
@@ -694,10 +676,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, value: float) -> Tensor:
     """Multiply by a python scalar (wrapped as a constant of matching dtype)."""
     return op_forward("mul", (x, _const_like(x, value)))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return op_forward("matmul", (a, b))
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:

@@ -18,11 +18,11 @@ from crossfuse.tensor import Tensor
 def composed_block(block: ssm_mod.MambaBlockParams, tokens: Tensor) -> Tensor:
     """``ssm.block_forward`` as ten taped ops."""
     n = T.layer_norm(tokens, block.norm_gamma, block.norm_beta)
-    a = T.matmul(n, block.in_w)
+    a = T.linear(n, block.in_w)
     c = T.conv1d_causal(a, block.conv_k, block.conv_b)
     s = T.silu(c)
     y = ssm_mod._scan(block.ssm, s, None, final_state=False)
-    g = T.silu(T.matmul(n, block.gate_w))
+    g = T.silu(T.linear(n, block.gate_w))
     mixed = T.mul(y, g)
     out = T.linear(mixed, block.out_w, block.out_b)
     return T.add(tokens, out)

@@ -7,6 +7,8 @@ the sub-second range per test.
 import importlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from crossfuse import tensor as T
 from crossfuse.config import (
     STAGE_NAMES,
     config_model_hash,
+    default_config,
     normalize_config,
     stage_configs_from,
 )
@@ -226,14 +229,27 @@ def test_config_rejects_bad_input():
         })
 
 
-def test_env_var_overrides_seed(monkeypatch):
-    monkeypatch.setenv("CROSSFUSE_DETERMINISTIC", "0")
-    a = normalize_config({"schema_version": 1})
-    b = normalize_config({"schema_version": 1})
-    assert isinstance(a["seed"], int)
-    assert a["seed"] != b["seed"]
-    monkeypatch.setenv("CROSSFUSE_DETERMINISTIC", "1")
-    assert normalize_config({"schema_version": 1})["seed"] == 0
+@pytest.mark.parametrize("raw, key", [
+    ({"train": {"stpes": 5}}, "train.stpes"),
+    ({"data": {"hieght": 32}}, "data.hieght"),
+    ({"model": {"dt_rank": 2}}, "model.dt_rank"),
+])
+def test_config_rejects_unknown_nested_keys(raw, key):
+    with pytest.raises(ValueError, match=re.escape(f"unknown config keys ['{key}']")):
+        normalize_config({"schema_version": 1, **raw})
+
+
+def test_config_rejects_unknown_stage_keys():
+    stages = default_config()["model"]["stages"]
+    stages[1] = {"stage": "f2", "heads": 1, "patch_sizes": [1], "layres": 2}
+    with pytest.raises(ValueError, match=re.escape("model.stages[1]: unknown keys ['layres']")):
+        normalize_config({"schema_version": 1, "model": {"stages": stages}})
+
+
+def test_readme_default_config_is_the_default_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("The full default config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == default_config()
 
 
 def test_model_hash_sees_geometry_not_training():

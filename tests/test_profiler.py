@@ -209,6 +209,26 @@ def test_profile_report_totals_and_dict():
     assert d["machine"]
 
 
+def test_profile_report_json_keeps_its_layout():
+    report = profile([M1, M3], reference=dict(REFERENCE_FULL_SCALE))
+    report.stages[0].latency_ms_median, report.stages[0].latency_ms_p95 = 1.25, 2.5
+    report.total_latency_ms_median, report.total_latency_ms_p95 = 3.0, 4.5
+    # The dict the report's to_dict spelled out field by field.
+    expected = {
+        "stages": [{"name": s.name, "params": s.params, "flops": s.flops,
+                    "latency_ms_median": s.latency_ms_median, "latency_ms_p95": s.latency_ms_p95}
+                   for s in report.stages],
+        "total_params": report.total_params,
+        "total_flops": report.total_flops,
+        "total_latency_ms_median": 3.0,
+        "total_latency_ms_p95": 4.5,
+        "conventions": report.conventions,
+        "machine": report.machine,
+        "reference": dict(REFERENCE_FULL_SCALE),
+    }
+    assert json.dumps(report.to_dict()) == json.dumps(expected)
+
+
 def test_render_table_without_latency():
     table = render_table(profile([M1]))
     assert "m1" in table and "106" in table

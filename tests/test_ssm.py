@@ -20,7 +20,6 @@ from crossfuse.ssm import (
     SSMParams,
     SSMState,
     block_forward,
-    discretize,
     init_block,
     init_ssm,
     scan_sequence,
@@ -82,24 +81,21 @@ def _reference_scan(params: SSMParams, tokens: np.ndarray, h0=None):
 # Discretization
 # ---------------------------------------------------------------------------
 
-def test_discretize_scalar_golden():
-    a_bar, b_bar = discretize(np.array([[-1.0]]), 1.0, LN2)
-    np.testing.assert_allclose(a_bar, [[0.5]], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(b_bar, [[LN2]], rtol=0, atol=1e-12)
-
-
 def test_discretize_vector_golden():
-    a = np.array([[-1.0, -2.0]])
-    a_bar, b_bar = discretize(a, np.array([3.0, 4.0]), np.array([0.5]))
-    np.testing.assert_allclose(a_bar, [[math.exp(-0.5), math.exp(-1.0)]], rtol=1e-12)
-    np.testing.assert_allclose(b_bar, [[1.5, 2.0]], rtol=1e-12)
-
-
-def test_discretize_rejects_nonpositive_delta():
-    with pytest.raises(ValueError, match="positive"):
-        discretize(np.array([[-1.0]]), 1.0, 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        discretize(np.array([[-1.0]]), 1.0, np.array([0.1, -0.1]))
+    # One step of scan_step pins the discretization. A = -exp(a_log) = [-1, -2],
+    # B = x * [3, 4] and, with a zero delta projection, delta = softplus(dt_bias)
+    # = 0.5. From h = 1 with x = 0 the state becomes A_bar = exp(delta A); from
+    # h = 0 with x = 1 it becomes B_bar x = delta B x.
+    params = _params_from_arrays(
+        a_log=[[0.0, LN2]], w_b=[[3.0, 4.0]], dt_down=[[0.0]], dt_up=[[0.0]],
+        dt_bias=[math.log(math.expm1(0.5))], w_out=[[1.0, 1.0]],
+    )
+    ones = SSMState(Tensor(np.ones((1, 2), np.float32)))
+    _, decayed = scan_step(params, Tensor(np.zeros(1, np.float32)), ones)
+    np.testing.assert_allclose(decayed.h.data, [[math.exp(-0.5), math.exp(-1.0)]], rtol=1e-6)
+    y, driven = scan_step(params, Tensor(np.ones(1, np.float32)), SSMState.zeros(1, 2))
+    np.testing.assert_allclose(driven.h.data, [[1.5, 2.0]], rtol=1e-6)
+    np.testing.assert_allclose(y.data, [3.5], rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +197,41 @@ def test_fold_equivalence_property(channels, state, length, seed):
     for t in range(length):
         y_t, state_t = scan_step(params, Tensor(tokens[t]), state_t)
         np.testing.assert_allclose(y_seq.data[t], y_t.data, rtol=0, atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    channels=st.integers(min_value=1, max_value=8),
+    state=st.integers(min_value=1, max_value=5),
+    rank=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_scan_step_is_the_sequence_scan_on_one_token(channels, state, rank, seed):
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, channels, state, rank)
+    token = rng.normal(0, 1.0, channels).astype(np.float32)
+    h0 = SSMState(Tensor(rng.normal(0, 0.5, (channels, state)).astype(np.float32)))
+    y_t, state_t = scan_step(params, Tensor(token), h0)
+    y_seq, state_seq = scan_sequence(params, Tensor(token[None]), state0=h0)
+    _assert_same_bits(y_t.data, y_seq.data[0], "y")
+    _assert_same_bits(state_t.h.data, state_seq.h.data, "state")
+
+
+def test_scan_step_holds_the_state_when_delta_underflows():
+    # softplus(-200) underflows to 0 in float32, so the step neither decays nor
+    # drives the state, and y reads the held state out.
+    params = _params_from_arrays(
+        a_log=[[0.0], [0.0]], w_b=[[1.0], [1.0]], dt_down=[[0.0], [0.0]], dt_up=[[0.0, 0.0]],
+        dt_bias=[-200.0, -200.0], w_out=[[1.0], [1.0]],
+    )
+    token = np.ones(2, np.float32)
+    h0 = SSMState(Tensor(np.full((2, 1), 1.5, np.float32)))
+    y_t, state_t = scan_step(params, Tensor(token), h0)
+    y_seq, state_seq = scan_sequence(params, Tensor(token[None]), state0=h0)
+    np.testing.assert_array_equal(y_t.data, [1.5, 1.5])
+    np.testing.assert_array_equal(state_t.h.data, h0.h.data)
+    _assert_same_bits(y_t.data, y_seq.data[0], "y")
+    _assert_same_bits(state_t.h.data, state_seq.h.data, "state")
 
 
 def test_scan_is_stable_over_long_sequences():
@@ -432,9 +463,9 @@ def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
     length, channels = tokens.shape
     if state0 is None:
         state0 = SSMState.zeros(channels, params.state_size)
-    b_seq = T.matmul(tokens, params.w_b)
-    low = T.matmul(tokens, params.dt_down)
-    delta = T.softplus(T.add(T.matmul(low, params.dt_up), params.dt_bias))
+    b_seq = T.linear(tokens, params.w_b)
+    low = T.linear(tokens, params.dt_down)
+    delta = T.softplus(T.add(T.linear(low, params.dt_up), params.dt_bias))
     a = T.scale(T.exp(params.a_log), -1.0)
     h_all = T.op_forward("test_recurrence", (tokens, delta, b_seq, a, state0.h))
     y = T.reduce_sum(T.mul(h_all, params.w_out), axis=-1)

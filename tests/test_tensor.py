@@ -76,7 +76,10 @@ def test_mul_scale_golden():
 def test_matmul_golden():
     a = t32([[1.0, 2.0], [3.0, 4.0]])
     b = t32([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal((a @ b).data, [[19.0, 22.0], [43.0, 50.0]])
+    with Graph() as g:
+        y = a @ b
+    np.testing.assert_array_equal(y.data, [[19.0, 22.0], [43.0, 50.0]])
+    assert [n.kind for n in g.nodes] == ["linear"]
 
 
 def test_linear_with_bias_golden():
@@ -148,10 +151,10 @@ def test_reductions_golden():
 # ---------------------------------------------------------------------------
 
 def test_matmul_rejects_rank_and_inner_mismatch():
-    with pytest.raises(ShapeError, match="matmul"):
-        T.matmul(t32([1.0, 2.0]), t32([[1.0], [2.0]]))
-    with pytest.raises(ShapeError, match="inner dimensions"):
-        T.matmul(t32([[1.0, 2.0]]), t32([[1.0, 2.0]]))
+    with pytest.raises(ShapeError, match="weight must be rank-2"):
+        t32([[1.0, 2.0]]) @ t32([1.0, 2.0])
+    with pytest.raises(ShapeError, match="incompatible with weight"):
+        T.linear(t32([[1.0, 2.0]]), t32([[1.0, 2.0]]))
 
 
 def test_add_rejects_non_suffix_broadcast():
@@ -221,7 +224,7 @@ def test_ops_outside_graph_are_not_recorded():
 def test_graph_records_and_collects_parameters():
     w = T.parameter(np.ones((2, 2), np.float32), "w")
     with Graph() as g:
-        y = T.reduce_sum(T.matmul(t32([[1.0, 2.0]]), w))
+        y = T.reduce_sum(T.linear(t32([[1.0, 2.0]]), w))
     assert len(g) == 2
     assert set(g.parameters) == {"w"}
     assert y.item() == 6.0
@@ -303,7 +306,7 @@ def test_grad_mul_with_broadcast():
 def test_grad_matmul():
     rng = _rng(2)
     params = {"a": _param(rng, (3, 4), "a"), "b": _param(rng, (4, 2), "b")}
-    _assert_grads_ok(lambda p: T.reduce_sum(T.matmul(p["a"], p["b"])), params)
+    _assert_grads_ok(lambda p: T.reduce_sum(T.linear(p["a"], p["b"])), params)
 
 
 def test_grad_linear_rank3_input():
@@ -423,6 +426,6 @@ def test_seeded_graph_is_deterministic(seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
-        return T.reduce_sum(T.silu(T.matmul(x, w))).item()
+        return T.reduce_sum(T.silu(T.linear(x, w))).item()
 
     assert run() == run()
