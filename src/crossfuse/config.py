@@ -2,8 +2,8 @@
 
 The file must carry ``schema_version: 1``. A key the defaults do not have,
 at any level and in any ``model.stages`` entry, is rejected so typos fail
-loudly rather than silently falling back to defaults. Runs are seeded by
-the config's ``seed``.
+loudly, as are a value of another JSON kind than its default's and a stage
+entry missing a key. Runs are seeded by the config's ``seed``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 
 from .fusion import StageConfig
 
@@ -83,13 +84,25 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
+# JSON kinds in match order: bool before number, as True is an int.
+_JSON_KINDS = (("a boolean", bool), ("a number", numbers.Real), ("a string", str),
+               ("an array", (list, tuple)), ("an object", dict))
+
+
+def _json_kind(value) -> str:
+    return next((kind for kind, types in _JSON_KINDS if isinstance(value, types)), type(value).__name__)
+
+
 def _merge(base: dict, override: dict, source: str, path: str = "") -> dict:
     unknown = [f"{path}{key}" for key in override if key not in base]
     if unknown:
         raise ValueError(f"{source}: unknown config keys {unknown}")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out[key], dict):
+        want = _json_kind(out[key])
+        if _json_kind(value) != want:
+            raise ValueError(f"{source}: config key '{path}{key}' must be {want}, got {type(value).__name__}")
+        if isinstance(value, dict):  # and so is the default, by the kind check above
             out[key] = _merge(out[key], value, source, f"{path}{key}.")
         else:
             out[key] = copy.deepcopy(value)
@@ -130,6 +143,9 @@ def stage_configs_from(cfg: dict) -> list[StageConfig]:
         unknown = sorted(set(entry) - _STAGE_KEYS)
         if unknown:
             raise ValueError(f"model.stages[{i}]: unknown keys {unknown}")
+        missing = sorted(_STAGE_KEYS - set(entry))
+        if missing:
+            raise ValueError(f"model.stages[{i}]: missing keys {missing}")
         name = entry["stage"]
         if name not in STAGE_NAMES:
             raise ValueError(f"unknown stage {name!r}, expected one of {STAGE_NAMES}")

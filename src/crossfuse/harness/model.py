@@ -116,9 +116,11 @@ class DetectionModel:
                 s = T.add(pair.rgb, pair.thermal)
                 out[stage] = FeaturePair(stage=stage, rgb=s, thermal=s)
             elif self.fuser == "none-rgb":
-                out[stage] = FeaturePair(stage=stage, rgb=pair.rgb, thermal=T.zeros(pair.thermal.shape))
+                blank = Tensor(np.zeros(pair.thermal.shape, np.float32))
+                out[stage] = FeaturePair(stage=stage, rgb=pair.rgb, thermal=blank)
             elif self.fuser == "none-thermal":
-                out[stage] = FeaturePair(stage=stage, rgb=T.zeros(pair.rgb.shape), thermal=pair.thermal)
+                blank = Tensor(np.zeros(pair.rgb.shape, np.float32))
+                out[stage] = FeaturePair(stage=stage, rgb=blank, thermal=pair.thermal)
             else:
                 raise ValueError(f"_plain_fuse called with fuser {self.fuser!r}")
         return out

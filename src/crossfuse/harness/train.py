@@ -25,7 +25,7 @@ from ..tensorio import save_checkpoint
 from .model import PRED_CHANNELS, DetectionModel
 from .synthetic import Dataset
 
-__all__ = ["train", "TrainAbort", "SGD", "clip_loss", "build_targets", "huber"]
+__all__ = ["train", "TrainAbort", "SGD", "clip_loss", "build_targets"]
 
 
 LOSS_OP = "detection_loss"
@@ -35,8 +35,8 @@ class TrainAbort(RuntimeError):
     """Raised when the loss stops being finite; diagnostics on disk."""
 
 
-# Smooth-L1 as one fused elementwise op: quadratic inside |x| < beta,
-# linear outside, with the matching clipped-slope gradient.
+# Smooth-L1 kernel: quadratic inside |x| < beta, linear outside, with the
+# matching clipped-slope gradient.
 def _huber_fwd(x, beta=1.0):
     if beta <= 0:
         raise ValueError(f"huber beta must be positive, got {beta}")
@@ -48,13 +48,6 @@ def _huber_fwd(x, beta=1.0):
 def _huber_bwd(ctx, g):
     x, beta = ctx["x"], ctx["beta"]
     return (g * np.clip(x / beta, -1.0, 1.0),)
-
-
-register_op("huber", _huber_fwd, _huber_bwd)
-
-
-def huber(x: Tensor, beta: float = 1.0) -> Tensor:
-    return T.op_forward("huber", (x,), beta=beta)
 
 
 def build_targets(
@@ -87,7 +80,7 @@ def build_targets(
 
 
 def _times(x, value):
-    """x times a python scalar taken at x's dtype, as ``T.scale`` computes it."""
+    """x times a python scalar taken at x's dtype, as the composed chain's scale does."""
     return x * np.asarray(value, dtype=x.dtype)
 
 

@@ -17,7 +17,10 @@ single-frame stage forwards on this machine, single process.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 import platform
 import statistics
 import time
@@ -164,7 +167,18 @@ class ProfileReport:
 
 
 def _machine_descriptor() -> str:
-    return f"{platform.platform()} / {platform.machine()} / python {platform.python_version()}"
+    """Platform and python, plus the kernel OpenBLAS picked for this CPU and
+    numpy's SIMD level, on which float32 bits depend (``unknown`` if absent)."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        blas = corename().decode()
+    except (IndexError, OSError, AttributeError):
+        blas = "unknown"
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found") or ["unknown"]
+    return (f"{platform.platform()} / {platform.machine()} / python {platform.python_version()}"
+            f" / blas {blas} / simd {','.join(simd)}")
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:

@@ -119,9 +119,10 @@ def swap_parameters(root, updated: dict[str, Tensor]) -> None:
 
     Every update is checked before any is applied: a name the walk does not
     find raises ``KeyError`` and a shape change raises ``ShapeError``, and
-    either leaves every parameter as it was. The new Tensors take the
-    parameter's name and are trainable. The old Tensors are not changed, so
-    a name -> Tensor dict taken before the swap still holds the old values.
+    either leaves every parameter as it was. A trainable update of the
+    parameter's name goes in as it is, as ``backward`` matches by identity;
+    any other is rewrapped as one. The old Tensors are not changed, so a
+    name -> Tensor dict taken before the swap still holds the old values.
     """
     slots = {t.name: (holder, key, t) for holder, key, t in walk_parameters(root)}
     unknown = updated.keys() - slots.keys()
@@ -133,7 +134,7 @@ def swap_parameters(root, updated: dict[str, Tensor]) -> None:
             raise ShapeError(f"{name}: shape {new.shape} != expected {old.shape}")
     for name, new in updated.items():
         holder, key, _ = slots[name]
-        t = Tensor(new.data, name=name, trainable=True)
+        t = new if new.trainable and new.name == name else Tensor(new.data, name=name, trainable=True)
         if isinstance(holder, (list, dict)):
             holder[key] = t
         else:

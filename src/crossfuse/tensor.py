@@ -1,11 +1,13 @@
 """Dense float tensors with taped reverse-mode differentiation.
 
-The op set is deliberately small: elementwise add/mul, a linear map
-``x @ w`` with an optional bias (also behind ``Tensor.__matmul__``), a causal
-depthwise 1-d convolution, layer norm, silu, softplus, exp, and the shape
-ops (concat, slice, reshape, transpose, sum/mean reductions). Domain
-modules that need a fused kernel register it through ``register_op``
-instead of growing this file.
+The registry holds the kinds the program records: suffix-broadcast add, a
+linear map ``x @ w`` with an optional bias (also behind ``Tensor.__matmul__``),
+silu and the shape ops (concat, slice, reshape, transpose). Domain modules
+register their fused ops (``take_rows``, ``ssm_scan``, ``mamba_block``,
+``detection_loss``) through ``register_op``. The kernels those fused ops are
+built from (layer norm, causal depthwise convolution, softplus, exp, mul,
+sum/mean reductions) live here as plain forward/adjoint pairs; the test suite
+registers them as op kinds of its own to check the fused ops against.
 
 Values are immutable: every op returns a fresh ``Tensor`` and the backing
 numpy buffers are marked read-only. Recording is explicit; ops executed
@@ -33,26 +35,14 @@ __all__ = [
     "op_forward",
     "backward",
     "grad_check",
-    "constant",
     "parameter",
-    "zeros",
-    "ones",
     "add",
-    "mul",
-    "scale",
     "linear",
-    "conv1d_causal",
-    "layer_norm",
     "silu",
-    "softplus",
-    "exp",
-    "sigmoid",
     "concat",
     "narrow",
     "reshape",
     "transpose",
-    "reduce_sum",
-    "reduce_mean",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -117,15 +107,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), name=self.name, trainable=self.trainable)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return linear(self, other)
 
@@ -134,24 +115,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{tag})"
 
 
-def constant(value, dtype=np.float32) -> Tensor:
-    return Tensor(np.asarray(value, dtype=dtype))
-
-
 def parameter(value, name: str) -> Tensor:
     return Tensor(np.asarray(value), name=name, trainable=True)
-
-
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype))
-
-
-def _const_like(t: Tensor, value) -> Tensor:
-    return Tensor(np.asarray(value, dtype=t.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +165,6 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.parameters: dict[str, Tensor] = {}
 
     def __enter__(self) -> "Graph":
         _tls.stack.append(self)
@@ -237,20 +201,16 @@ def op_forward(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     out = Tensor(out_arr)
     stack = _tls.stack
     if stack:
-        graph = stack[-1]
-        graph.nodes.append(Node(kind, tuple(inputs), out, ctx, opdef.backward))
-        for t in inputs:
-            if t.trainable:
-                graph.parameters.setdefault(t.name, t)
+        stack[-1].nodes.append(Node(kind, tuple(inputs), out, ctx, opdef.backward))
     return out
 
 
-def backward(graph: Graph, loss: Tensor, parameters: Optional[Iterable[Tensor]] = None) -> dict[str, Tensor]:
-    """Accumulate d(loss)/d(param) for every trainable parameter.
+def backward(graph: Graph, loss: Tensor, parameters: Iterable[Tensor]) -> dict[str, Tensor]:
+    """d(loss)/d(p) for each tensor p in ``parameters``, keyed by its name.
 
-    Walks the tape once in reverse. Parameters that never touched the loss
-    get explicit zero gradients (pass them via ``parameters`` if they may be
-    absent from the graph entirely).
+    Walks the tape once in reverse. A parameter is matched by identity, so
+    pass the very tensors the recorded ops consumed; one that never touched
+    the loss gets an explicit zero gradient.
     """
     if not graph.nodes:
         raise GraphError("cannot run backward on an empty graph")
@@ -273,13 +233,9 @@ def backward(graph: Graph, loss: Tensor, parameters: Optional[Iterable[Tensor]] 
             prev = grads.get(key)
             grads[key] = g if prev is None else prev + g
     out: dict[str, Tensor] = {}
-    for name, p in graph.parameters.items():
+    for p in parameters:
         g = grads.get(id(p))
-        out[name] = Tensor(g) if g is not None else Tensor(np.zeros_like(p.data))
-    if parameters is not None:
-        for p in parameters:
-            if p.trainable and p.name not in out:
-                out[p.name] = Tensor(np.zeros_like(p.data))
+        out[p.name] = Tensor(g) if g is not None else Tensor(np.zeros_like(p.data))
     return out
 
 
@@ -390,7 +346,7 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Core op set
+# Kernels: the core ops and the pieces the fused ops are built from
 # ---------------------------------------------------------------------------
 
 def _add_fwd(a, b):
@@ -638,27 +594,13 @@ def _mean_fwd(x, axis=None):
     return x.mean(axis=axes), {"shape": x.shape, "axes": axes}
 
 
-def _mean_bwd(ctx, g):
-    n = 1
-    for a in ctx["axes"]:
-        n *= ctx["shape"][a]
-    return (np.ascontiguousarray(_expand_reduced(g, ctx["shape"], ctx["axes"]) / n),)
-
-
 register_op("add", _add_fwd, _add_bwd)
-register_op("mul", _mul_fwd, _mul_bwd)
 register_op("linear", _linear_fwd, _linear_bwd)
-register_op("conv1d_causal", _conv1d_fwd, _conv1d_bwd)
-register_op("layer_norm", _layer_norm_fwd, _layer_norm_bwd)
 register_op("silu", _silu_fwd, _silu_bwd)
-register_op("softplus", _softplus_fwd, _softplus_bwd)
-register_op("exp", _exp_fwd, _exp_bwd)
 register_op("concat", _concat_fwd, _concat_bwd)
 register_op("slice", _slice_fwd, _slice_bwd)
 register_op("reshape", _reshape_fwd, _reshape_bwd)
 register_op("transpose", _transpose_fwd, _transpose_bwd)
-register_op("reduce_sum", _sum_fwd, _sum_bwd)
-register_op("reduce_mean", _mean_fwd, _mean_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -669,45 +611,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return op_forward("add", (a, b))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return op_forward("mul", (a, b))
-
-
-def scale(x: Tensor, value: float) -> Tensor:
-    """Multiply by a python scalar (wrapped as a constant of matching dtype)."""
-    return op_forward("mul", (x, _const_like(x, value)))
-
-
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     inputs = (x, w) if b is None else (x, w, b)
     return op_forward("linear", inputs)
 
 
-def conv1d_causal(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return op_forward("conv1d_causal", inputs)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    return op_forward("layer_norm", (x, gamma, beta), eps=eps)
-
-
 def silu(x: Tensor) -> Tensor:
     return op_forward("silu", (x,))
-
-
-def softplus(x: Tensor) -> Tensor:
-    return op_forward("softplus", (x,))
-
-
-def exp(x: Tensor) -> Tensor:
-    return op_forward("exp", (x,))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Composed as exp(x - softplus(x)), which is stable for any x."""
-    neg = scale(softplus(x), -1.0)
-    return exp(add(x, neg))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -724,11 +634,3 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return op_forward("transpose", (x,), axes=tuple(axes))
-
-
-def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    return op_forward("reduce_sum", (x,), axis=axis)
-
-
-def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    return op_forward("reduce_mean", (x,), axis=axis)

@@ -4,33 +4,111 @@ ops replace, kept as bit-for-bit oracles for ``test_ssm`` and ``test_harness``.
 Each function records one tape node per core op, exactly as the program did
 before the ops were fused, so the fused forwards and adjoints can be checked
 against it bit for bit.
+
+The program records none of the chains' elementwise, normalisation and
+reduction ops, so the engine's registry does not hold them. This module
+registers them on import, over the engine's kernels, with their wrappers.
+Import it under the one name ``composed``: a second import under another name
+would register every kind twice, which ``register_op`` rejects.
 """
+
+from typing import Optional
 
 import numpy as np
 
 from crossfuse import ssm as ssm_mod
 from crossfuse import tensor as T
 from crossfuse.config import STAGE_NAMES, STAGE_STRIDES
-from crossfuse.harness.train import build_targets, huber
-from crossfuse.tensor import Tensor
+from crossfuse.harness.train import _huber_bwd, _huber_fwd, build_targets
+from crossfuse.tensor import Tensor, op_forward, register_op
+
+
+# What a fresh ``import crossfuse, crossfuse.harness`` registers, sorted.
+PROGRAM_KINDS = ["add", "concat", "detection_loss", "linear", "mamba_block", "reshape",
+                 "silu", "slice", "ssm_scan", "take_rows", "transpose"]
+
+
+def _mean_bwd(ctx, g):
+    n = 1
+    for a in ctx["axes"]:
+        n *= ctx["shape"][a]
+    return (np.ascontiguousarray(T._expand_reduced(g, ctx["shape"], ctx["axes"]) / n),)
+
+
+register_op("mul", T._mul_fwd, T._mul_bwd)
+register_op("conv1d_causal", T._conv1d_fwd, T._conv1d_bwd)
+register_op("layer_norm", T._layer_norm_fwd, T._layer_norm_bwd)
+register_op("softplus", T._softplus_fwd, T._softplus_bwd)
+register_op("exp", T._exp_fwd, T._exp_bwd)
+register_op("reduce_sum", T._sum_fwd, T._sum_bwd)
+register_op("reduce_mean", T._mean_fwd, _mean_bwd)
+register_op("huber", _huber_fwd, _huber_bwd)
+
+
+def _const_like(t: Tensor, value) -> Tensor:
+    return Tensor(np.asarray(value, dtype=t.dtype))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    return op_forward("mul", (a, b))
+
+
+def scale(x: Tensor, value: float) -> Tensor:
+    """Multiply by a python scalar (wrapped as a constant of matching dtype)."""
+    return op_forward("mul", (x, _const_like(x, value)))
+
+
+def conv1d_causal(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    return op_forward("conv1d_causal", inputs)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    return op_forward("layer_norm", (x, gamma, beta), eps=eps)
+
+
+def softplus(x: Tensor) -> Tensor:
+    return op_forward("softplus", (x,))
+
+
+def exp(x: Tensor) -> Tensor:
+    return op_forward("exp", (x,))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Composed as exp(x - softplus(x)), which is stable for any x."""
+    neg = scale(softplus(x), -1.0)
+    return exp(T.add(x, neg))
+
+
+def reduce_sum(x: Tensor, axis=None) -> Tensor:
+    return op_forward("reduce_sum", (x,), axis=axis)
+
+
+def reduce_mean(x: Tensor, axis=None) -> Tensor:
+    return op_forward("reduce_mean", (x,), axis=axis)
+
+
+def huber(x: Tensor, beta: float = 1.0) -> Tensor:
+    return op_forward("huber", (x,), beta=beta)
 
 
 def composed_block(block: ssm_mod.MambaBlockParams, tokens: Tensor) -> Tensor:
     """``ssm.block_forward`` as ten taped ops."""
-    n = T.layer_norm(tokens, block.norm_gamma, block.norm_beta)
+    n = layer_norm(tokens, block.norm_gamma, block.norm_beta)
     a = T.linear(n, block.in_w)
-    c = T.conv1d_causal(a, block.conv_k, block.conv_b)
+    c = conv1d_causal(a, block.conv_k, block.conv_b)
     s = T.silu(c)
     y = ssm_mod._scan(block.ssm, s, None, final_state=False)
     g = T.silu(T.linear(n, block.gate_w))
-    mixed = T.mul(y, g)
+    mixed = mul(y, g)
     out = T.linear(mixed, block.out_w, block.out_b)
     return T.add(tokens, out)
 
 
 def _bce_with_logits_mean(logits: Tensor, target: Tensor) -> Tensor:
     # softplus(z) - t*z == -[t*log(sig(z)) + (1-t)*log(1-sig(z))]
-    return T.reduce_mean(T.add(T.softplus(logits), T.scale(T.mul(target, logits), -1.0)))
+    return reduce_mean(T.add(softplus(logits), scale(mul(target, logits), -1.0)))
 
 
 def composed_frame_loss(preds, gts, model, box_weight: float, huber_beta: float) -> Tensor:
@@ -51,13 +129,13 @@ def composed_frame_loss(preds, gts, model, box_weight: float, huber_beta: float)
         terms.append(obj_loss)
         if n_pos > 0:
             mask2 = Tensor(np.repeat(mask, 2, axis=2))
-            d_xy = T.add(T.sigmoid(txy), Tensor(-box_t[:, :, 0:2]))
+            d_xy = T.add(sigmoid(txy), Tensor(-box_t[:, :, 0:2]))
             d_wh = T.add(twh, Tensor(-box_t[:, :, 2:4]))
             box_sum = T.add(
-                T.reduce_sum(T.mul(huber(d_xy, huber_beta), mask2)),
-                T.reduce_sum(T.mul(huber(d_wh, huber_beta), mask2)),
+                reduce_sum(mul(huber(d_xy, huber_beta), mask2)),
+                reduce_sum(mul(huber(d_wh, huber_beta), mask2)),
             )
-            terms.append(T.scale(box_sum, box_weight / n_pos))
+            terms.append(scale(box_sum, box_weight / n_pos))
     total = terms[0]
     for t in terms[1:]:
         total = T.add(total, t)
@@ -71,4 +149,4 @@ def composed_loss(model, preds, gts_per_frame) -> Tensor:
     for pred, gts in zip(preds, gts_per_frame):
         fl = composed_frame_loss(pred, gts, model, train_cfg["box_weight"], train_cfg["huber_beta"])
         total = fl if total is None else T.add(total, fl)
-    return T.scale(total, 1.0 / len(preds))
+    return scale(total, 1.0 / len(preds))

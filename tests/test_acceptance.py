@@ -9,6 +9,7 @@ that is seeded, so reruns reproduce the printed numbers exactly.
 import math
 import time
 
+import composed as C
 import numpy as np
 from conftest import record_verdict
 
@@ -250,10 +251,10 @@ def test_06_gradients_match_finite_differences():
             # has zero gradient but swamps the finite-difference signal.
             model.replace_parameters(p)
             res = stage_forward(model.stages[0], Tensor(rgb), Tensor(thm))
-            d_rgb = T.add(res.rgb, T.scale(Tensor(rgb), -1.0))
-            d_thm = T.add(res.thermal, T.scale(Tensor(thm), -1.0))
-            lhs = T.reduce_sum(T.mul(d_rgb, Tensor(w_r)))
-            rhs = T.reduce_sum(T.mul(d_thm, Tensor(w_t)))
+            d_rgb = T.add(res.rgb, C.scale(Tensor(rgb), -1.0))
+            d_thm = T.add(res.thermal, C.scale(Tensor(thm), -1.0))
+            lhs = C.reduce_sum(C.mul(d_rgb, Tensor(w_r)))
+            rhs = C.reduce_sum(C.mul(d_thm, Tensor(w_t)))
             return T.add(lhs, rhs)
 
         report = grad_check(f, model.named_parameters(), eps=1e-5)

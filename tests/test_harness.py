@@ -11,8 +11,9 @@ import re
 from pathlib import Path
 
 import numpy as np
+import composed as C
 import pytest
-from composed import composed_block, composed_loss
+from composed import composed_block, composed_loss, huber
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from crossfuse.harness.synthetic import (
     gen_clips,
     load_dataset,
 )
-from crossfuse.harness.train import SGD, TrainAbort, build_targets, clip_loss, huber, train
+from crossfuse.harness.train import SGD, TrainAbort, build_targets, clip_loss, train
 from crossfuse.harness.train import frame_loss
 from crossfuse.metrics import Box, read_boxes_jsonl
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check
@@ -246,6 +247,27 @@ def test_config_rejects_unknown_stage_keys():
         normalize_config({"schema_version": 1, "model": {"stages": stages}})
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"data": 5}, "config key 'data' must be an object, got int"),
+    ({"train": {"lr": "fast"}}, "config key 'train.lr' must be a number, got str"),
+    ({"model": {"stages": {"stage": "f1"}}}, "config key 'model.stages' must be an array, got dict"),
+])
+def test_config_rejects_a_value_of_the_wrong_kind(raw, message):
+    with pytest.raises(ValueError, match=re.escape(f"<dict>: {message}")):
+        normalize_config({"schema_version": 1, **raw})
+
+
+def test_config_takes_an_int_where_the_default_is_a_float():
+    assert normalize_config({"schema_version": 1, "train": {"lr": 1}})["train"]["lr"] == 1
+
+
+def test_config_names_the_keys_a_stage_entry_lacks():
+    stages = default_config()["model"]["stages"]
+    del stages[0]["layers"]
+    with pytest.raises(ValueError, match=re.escape("model.stages[0]: missing keys ['layers']")):
+        normalize_config({"schema_version": 1, "model": {"stages": stages}})
+
+
 def test_readme_default_config_is_the_default_config():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("The full default config:\n\n```json\n", 1)[1].split("```", 1)[0]
@@ -405,7 +427,7 @@ def test_huber_goldens_and_gradient():
     # valid.
     params = {"h.x": Tensor(np.array([0.3, -0.4, 1.7, -2.5], np.float32),
                             name="h.x", trainable=True)}
-    report = grad_check(lambda p: T.reduce_sum(huber(p["h.x"], beta=1.0)), params)
+    report = grad_check(lambda p: C.reduce_sum(huber(p["h.x"], beta=1.0)), params)
     assert report.max_rel_error < 1e-3
 
 
@@ -488,7 +510,7 @@ def test_clip_loss_is_scalar_and_differentiable(tmp_path):
     with Graph() as g:
         loss = clip_loss(model, frames, gts)
     assert loss.shape == ()
-    grads = backward(g, loss)
+    grads = backward(g, loss, model.named_parameters().values())
     head_grad = grads["head.f1.w"]
     assert float(np.abs(head_grad.data).max()) > 0.0
 
@@ -588,7 +610,8 @@ def test_evaluate_reset_every_changes_nothing_for_stateless_fusers(tmp_path):
 # Dispatch budget: ops per streamed frame and tape nodes per training clip
 # ---------------------------------------------------------------------------
 
-def test_desk_frame_dispatches_at_most_100_ops(monkeypatch):
+def _desk_frame_ops(monkeypatch) -> list[str]:
+    """The kind of every op one streamed desk frame dispatches, in order."""
     from crossfuse.temporal import fuse_next, init_stream
 
     model = DetectionModel(normalize_config({"schema_version": 1, "seed": 0, "fuser": "mambast"}))
@@ -605,6 +628,11 @@ def test_desk_frame_dispatches_at_most_100_ops(monkeypatch):
     monkeypatch.setattr(T, "op_forward", counting)
     fused, _ = fuse_next(model.fusion, init_stream(model.fusion), model.backbone_forward(rgb, thm))
     model.head_forward(fused)
+    return calls
+
+
+def test_desk_frame_dispatches_at_most_100_ops(monkeypatch):
+    calls = _desk_frame_ops(monkeypatch)
     assert 0 < len(calls) <= 100, f"{len(calls)} ops per frame"
 
 
@@ -618,14 +646,27 @@ def _acceptance_11_cfg():
                 train={"lr": 0.005, "box_weight": 3.0})
 
 
-def test_acceptance_11_clip_records_at_most_300_tape_nodes(tmp_path):
+def _acceptance_11_clip_graph(tmp_path) -> Graph:
     cfg = _acceptance_11_cfg()
     ds = _dataset(cfg, tmp_path)
     clip = ds.clips[0]
     model = DetectionModel(cfg)
     with Graph() as g:
         clip_loss(model, [ds.load_frame(f) for f in clip.frames], [clip.gt[f["frame_id"]] for f in clip.frames])
+    return g
+
+
+def test_acceptance_11_clip_records_at_most_300_tape_nodes(tmp_path):
+    g = _acceptance_11_clip_graph(tmp_path)
     assert 0 < len(g) <= 300, f"{len(g)} tape nodes per clip"
+
+
+def test_a_training_clip_and_a_streamed_frame_record_eight_registry_kinds(tmp_path, monkeypatch):
+    clip_kinds = {n.kind for n in _acceptance_11_clip_graph(tmp_path).nodes}
+    frame_kinds = set(_desk_frame_ops(monkeypatch))
+    assert clip_kinds <= set(C.PROGRAM_KINDS) and frame_kinds <= set(C.PROGRAM_KINDS)
+    assert clip_kinds | frame_kinds == {"add", "linear", "take_rows", "slice", "silu", "concat",
+                                        "mamba_block", "detection_loss"}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ The orderings for tiny grids are written out by hand; everything else is
 checked as a bijection property.
 """
 
+import composed as C
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,8 +144,8 @@ def test_flatten_gradient_is_inverse_permutation():
         rgb_p = T.parameter(rgb.data, "p.rgb")
         tokens = ocf_flatten(rgb_p, thm)
         weights = Tensor(np.arange(8, dtype=np.float32).reshape(8, 1))
-        loss = T.reduce_sum(T.mul(tokens, weights))
-    grads = backward(g, loss)
+        loss = C.reduce_sum(C.mul(tokens, weights))
+    grads = backward(g, loss, [rgb_p])
     layout = build_layout(2, 2)
     expected = np.zeros(8, np.float32)
     for slot, src in enumerate(layout.gather):
@@ -158,8 +159,8 @@ def test_take_rows_duplicate_indices_accumulate():
     with Graph() as g:
         x = T.parameter(np.array([[1.0], [2.0]], np.float32), "p.x")
         picked = op_forward("take_rows", [x], indices=(0, 0, 0, 1))
-        loss = T.reduce_sum(picked)
-    grads = backward(g, loss)
+        loss = C.reduce_sum(picked)
+    grads = backward(g, loss, [x])
     np.testing.assert_array_equal(grads["p.x"].data, [[3.0], [1.0]])
 
 
@@ -231,7 +232,7 @@ def _chained_unflatten(tokens, rows, cols, size):
 def _weighted_sum(outputs, rng):
     loss = None
     for out in outputs:
-        term = T.reduce_sum(T.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
+        term = C.reduce_sum(C.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32))))
         loss = term if loss is None else T.add(loss, term)
     return loss
 
@@ -242,7 +243,7 @@ def _run(fn, inputs, seed):
         outputs = fn(*params)
         outputs = outputs if isinstance(outputs, tuple) else (outputs,)
         loss = _weighted_sum(outputs, np.random.default_rng(seed))
-    grads = backward(g, loss)
+    grads = backward(g, loss, params)
     return [o.data for o in outputs], [grads[p.name].data for p in params]
 
 
@@ -287,9 +288,9 @@ def test_patched_layout_adjoints_pass_grad_check():
     }
 
     def f(p):
-        tokens = T.mul(ocf_flatten(p["rgb"], p["thm"], layout), weights)
+        tokens = C.mul(ocf_flatten(p["rgb"], p["thm"], layout), weights)
         back_rgb, back_thm = ocf_unflatten(tokens, layout)
-        return T.add(T.reduce_sum(T.mul(back_rgb, back_rgb)), T.reduce_sum(back_thm))
+        return T.add(C.reduce_sum(C.mul(back_rgb, back_rgb)), C.reduce_sum(back_thm))
 
     report = grad_check(f, params)
     assert report.max_rel_error < 1e-6, report

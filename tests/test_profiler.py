@@ -6,11 +6,13 @@ against the literal tensor sizes of a constructed stage.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from crossfuse.fusion import StageConfig, init_stage
+from crossfuse import profiler as profiler_mod
 from crossfuse.profiler import (
     REFERENCE_FULL_SCALE,
     ProfileReport,
@@ -227,6 +229,15 @@ def test_profile_report_json_keeps_its_layout():
         "reference": dict(REFERENCE_FULL_SCALE),
     }
     assert json.dumps(report.to_dict()) == json.dumps(expected)
+
+
+def test_machine_names_the_blas_kernel_and_the_simd_level(monkeypatch):
+    # Float32 bits depend on the kernel OpenBLAS picks, so the report says which.
+    machine = profile([M1]).machine
+    fields = re.search(r" / blas (\S+) / simd (\S+)$", machine)
+    assert fields and all(fields.groups()), machine
+    monkeypatch.setattr(profiler_mod.glob, "glob", lambda pattern: [])
+    assert " / blas unknown / simd " in profiler_mod._machine_descriptor()
 
 
 def test_render_table_without_latency():

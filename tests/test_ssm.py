@@ -8,6 +8,7 @@ token-at-a-time folding with ``scan_step``.
 import math
 
 import numpy as np
+import composed as C
 import pytest
 from composed import composed_block
 from hypothesis import given, settings
@@ -259,9 +260,9 @@ def test_scan_gradients_match_finite_differences():
             a_log=p["s.A_log"], w_b=p["s.w_b"], dt_down=p["s.dt_down"],
             dt_up=p["s.dt_up"], dt_bias=p["s.dt_bias"], w_out=p["s.w_out"],
         )
-        x = tokens.astype(p["s.A_log"].dtype)
+        x = Tensor(tokens.data.astype(p["s.A_log"].dtype))
         y, final = scan_sequence(sp, x, state0=SSMState(p["s.h0"]))
-        return T.add(T.reduce_sum(T.mul(y, y)), T.reduce_sum(final.h))
+        return T.add(C.reduce_sum(C.mul(y, y)), C.reduce_sum(final.h))
 
     report = grad_check(f, params)
     assert report.max_rel_error < 1e-3, (
@@ -423,8 +424,8 @@ def test_block_gradients_flow_to_every_family():
     tokens = Tensor(rng.normal(size=(4, 2)).astype(np.float32))
     with Graph() as g:
         out = block_forward(block, tokens)
-        loss = T.reduce_sum(T.mul(out, out))
-    grads = backward(g, loss)
+        loss = C.reduce_sum(C.mul(out, out))
+    grads = backward(g, loss, [t for _, _, t in walk_parameters(block)])
     for name, grad in grads.items():
         assert float(np.abs(grad.data).max()) > 0.0, f"zero gradient for {name}"
 
@@ -465,10 +466,10 @@ def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
         state0 = SSMState.zeros(channels, params.state_size)
     b_seq = T.linear(tokens, params.w_b)
     low = T.linear(tokens, params.dt_down)
-    delta = T.softplus(T.add(T.linear(low, params.dt_up), params.dt_bias))
-    a = T.scale(T.exp(params.a_log), -1.0)
+    delta = C.softplus(T.add(T.linear(low, params.dt_up), params.dt_bias))
+    a = C.scale(C.exp(params.a_log), -1.0)
     h_all = T.op_forward("test_recurrence", (tokens, delta, b_seq, a, state0.h))
-    y = T.reduce_sum(T.mul(h_all, params.w_out), axis=-1)
+    y = C.reduce_sum(C.mul(h_all, params.w_out), axis=-1)
     last = T.reshape(T.narrow(h_all, 0, length - 1, 1), (channels, params.state_size))
     return y, SSMState(last)
 
@@ -498,8 +499,8 @@ def test_fused_scan_equals_composed_chain_bit_for_bit(channels, state, rank, len
     def run(scan):
         with Graph() as g:
             y, last = scan(params, tokens, SSMState(h0) if carry else None)
-            loss = T.add(T.reduce_sum(T.mul(y, w_y)), T.reduce_sum(T.mul(last.h, w_h)))
-        return y, last, backward(g, loss)
+            loss = T.add(C.reduce_sum(C.mul(y, w_y)), C.reduce_sum(C.mul(last.h, w_h)))
+        return y, last, backward(g, loss, [t for _, _, t in walk_parameters(params)] + [tokens, h0])
 
     y, last, grads = run(scan_sequence)
     y_ref, last_ref, grads_ref = run(_composed_scan)
@@ -534,7 +535,7 @@ def test_fused_scan_gradients_without_state_match_finite_differences():
             dt_up=p["s.dt_up"], dt_bias=p["s.dt_bias"], w_out=p["s.w_out"],
         )
         y = ssm_mod._scan(sp, p["s.x"], None, final_state=False)
-        return T.reduce_sum(T.mul(y, y))
+        return C.reduce_sum(C.mul(y, y))
 
     report = grad_check(f, params)
     assert report.max_rel_error < 1e-3, (
@@ -575,8 +576,8 @@ def test_fused_block_equals_composed_chain_bit_for_bit(dim, state, conv, expand,
         with Graph() as g:
             tokens = T.concat([row, x], axis=0) if carry else x
             out = block_fn(block, tokens)
-            loss = T.reduce_sum(T.mul(out, w))
-        return out, backward(g, loss, parameters=[row])
+            loss = C.reduce_sum(C.mul(out, w))
+        return out, backward(g, loss, [t for _, _, t in walk_parameters(block)] + [x, row])
 
     out, grads = run(block_forward)
     out_ref, grads_ref = run(composed_block)
@@ -610,7 +611,7 @@ def test_fused_block_gradients_match_finite_differences():
     def f(p):
         swap_parameters(block, {k: v for k, v in p.items() if k != "b.x"})
         y = block_forward(block, p["b.x"])
-        return T.reduce_sum(T.mul(y, y))
+        return C.reduce_sum(C.mul(y, y))
 
     report = grad_check(f, params)
     assert report.max_rel_error < 1e-3, (

@@ -7,6 +7,7 @@ and memory carried between frames is a fixed number of floats.
 
 import json
 
+import composed as C
 import numpy as np
 import pytest
 
@@ -174,16 +175,16 @@ def test_gradient_flows_through_carries():
         fused = fuse_clip(model, frames)
         out = fused[-1]["f1"]
         return T.add(
-            T.reduce_sum(T.mul(out.rgb, out.rgb)),
-            T.reduce_sum(T.mul(out.thermal, out.thermal)),
+            C.reduce_sum(C.mul(out.rgb, out.rgb)),
+            C.reduce_sum(C.mul(out.thermal, out.thermal)),
         )
 
     with Graph() as g_stream:
         loss_stream = last_frame_loss(streamed=True)
-    grads_stream = backward(g_stream, loss_stream)
+    grads_stream = backward(g_stream, loss_stream, model.named_parameters().values())
     with Graph() as g_reset:
         loss_reset = last_frame_loss(streamed=False)
-    grads_reset = backward(g_reset, loss_reset)
+    grads_reset = backward(g_reset, loss_reset, model.named_parameters().values())
 
     pos = "f1.emb.pos"
     assert float(np.abs(grads_stream[pos].data).max()) > 0.0
@@ -304,6 +305,20 @@ def test_replace_parameters_contract():
         model.replace_parameters({"nope.w": new})
     with pytest.raises(ShapeError, match="shape"):
         model.replace_parameters({name: Tensor(np.zeros(7, np.float32))})
+
+
+def test_replace_installs_a_named_trainable_tensor_as_it_is():
+    # backward matches parameters by identity, so a caller that swaps its own
+    # tensors in (grad_check through a model) must find them on the tape.
+    model = _activate(build_model(_configs(), seed=0), np.random.default_rng(4))
+    name = "f1.emb.rgb"
+    mine = Tensor(np.full(model.named_parameters()[name].shape, 0.5, np.float32), name=name, trainable=True)
+    model.replace_parameters({name: mine})
+    assert model.named_parameters()[name] is mine
+    with Graph() as g:
+        out = fuse_clip(model, _clip(_configs(), 1, seed=3))[0]["f1"]
+        loss = C.reduce_sum(C.mul(out.rgb, out.rgb))
+    assert np.abs(backward(g, loss, [mine])[name].data).max() > 0.0
 
 
 @pytest.mark.parametrize("bad_name, error", [("f1.agg.b", ShapeError), ("nope.w", KeyError)])

@@ -1,11 +1,17 @@
 """Engine tests: op goldens, broadcasting rules, taped gradients vs central
 differences, and tape bookkeeping."""
 
+import os
+import subprocess
+import sys
+
+import composed as C
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossfuse
 from crossfuse import tensor as T
 from crossfuse.tensor import (
     Graph,
@@ -69,7 +75,7 @@ def test_add_golden():
 
 
 def test_mul_scale_golden():
-    y = T.scale(t32([1.0, -2.0, 3.0]), -2.0)
+    y = C.scale(t32([1.0, -2.0, 3.0]), -2.0)
     np.testing.assert_array_equal(y.data, [-2.0, 4.0, -6.0])
 
 
@@ -93,19 +99,19 @@ def test_conv1d_causal_golden():
     # Width-2 kernel of ones over [1, 2, 3]: current + previous, left-padded.
     x = t32([[1.0], [2.0], [3.0]])
     k = t32([[1.0], [1.0]])
-    np.testing.assert_array_equal(T.conv1d_causal(x, k).data, [[1.0], [3.0], [5.0]])
+    np.testing.assert_array_equal(C.conv1d_causal(x, k).data, [[1.0], [3.0], [5.0]])
 
 
 def test_conv1d_causal_last_tap_is_current_position():
     x = t32([[1.0], [2.0], [3.0]])
     k = t32([[0.0], [1.0]])  # pure passthrough
-    np.testing.assert_array_equal(T.conv1d_causal(x, k).data, x.data)
+    np.testing.assert_array_equal(C.conv1d_causal(x, k).data, x.data)
     k_prev = t32([[1.0], [0.0]])  # pure one-step delay
-    np.testing.assert_array_equal(T.conv1d_causal(x, k_prev).data, [[0.0], [1.0], [2.0]])
+    np.testing.assert_array_equal(C.conv1d_causal(x, k_prev).data, [[0.0], [1.0], [2.0]])
 
 
 def test_layer_norm_golden():
-    y = T.layer_norm(t32([[1.0, 2.0, 3.0]]), T.ones(3), T.zeros(3))
+    y = C.layer_norm(t32([[1.0, 2.0, 3.0]]), t32([1.0, 1.0, 1.0]), t32([0.0, 0.0, 0.0]))
     # (3 - 2) / sqrt(2/3 + 1e-5) = 1.2247356859
     np.testing.assert_allclose(y.data, [[-1.2247357, 0.0, 1.2247357]], rtol=0, atol=1e-6)
 
@@ -116,12 +122,12 @@ def test_silu_golden():
 
 
 def test_softplus_golden_and_stability():
-    y = T.softplus(t32([0.0, 100.0, -100.0]))
+    y = C.softplus(t32([0.0, 100.0, -100.0]))
     np.testing.assert_allclose(y.data, [0.6931472, 100.0, 0.0], rtol=0, atol=1e-6)
 
 
 def test_sigmoid_stable_at_extremes():
-    y = T.sigmoid(t32([-500.0, 0.0, 500.0]))
+    y = C.sigmoid(t32([-500.0, 0.0, 500.0]))
     assert np.all(np.isfinite(y.data))
     np.testing.assert_allclose(y.data, [0.0, 0.5, 1.0], rtol=0, atol=1e-7)
 
@@ -140,10 +146,10 @@ def test_reshape_transpose_golden():
 
 def test_reductions_golden():
     x = t32([[1.0, 2.0], [3.0, 4.0]])
-    assert T.reduce_sum(x).item() == 10.0
-    np.testing.assert_array_equal(T.reduce_sum(x, axis=0).data, [4.0, 6.0])
-    np.testing.assert_array_equal(T.reduce_mean(x, axis=1).data, [1.5, 3.5])
-    assert T.reduce_mean(x, axis=(0, 1)).item() == 2.5
+    assert C.reduce_sum(x).item() == 10.0
+    np.testing.assert_array_equal(C.reduce_sum(x, axis=0).data, [4.0, 6.0])
+    np.testing.assert_array_equal(C.reduce_mean(x, axis=1).data, [1.5, 3.5])
+    assert C.reduce_mean(x, axis=(0, 1)).item() == 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def test_add_rejects_non_suffix_broadcast():
 
 def test_mul_rejects_same_rank_mismatch():
     with pytest.raises(ShapeError, match="mul"):
-        T.mul(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((2, 4), np.float32)))
+        C.mul(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((2, 4), np.float32)))
 
 
 def test_linear_rejects_bad_bias():
@@ -175,7 +181,7 @@ def test_linear_rejects_bad_bias():
 
 def test_conv1d_rejects_channel_mismatch():
     with pytest.raises(ShapeError, match="conv1d_causal"):
-        T.conv1d_causal(t32([[1.0, 2.0]]), t32([[1.0], [1.0]]))
+        C.conv1d_causal(t32([[1.0, 2.0]]), t32([[1.0], [1.0]]))
 
 
 def test_narrow_rejects_out_of_range_window():
@@ -195,12 +201,21 @@ def test_concat_rejects_off_axis_mismatch():
 
 def test_reduce_rejects_duplicate_axes():
     with pytest.raises(ShapeError, match="duplicate"):
-        T.reduce_sum(t32([[1.0]]), axis=(0, 0))
+        C.reduce_sum(t32([[1.0]]), axis=(0, 0))
 
 
 def test_register_op_rejects_duplicate_kind():
     with pytest.raises(ValueError, match="already registered"):
         register_op("add", lambda x: (x, {}), lambda ctx, g: (g,))
+
+
+def test_a_fresh_import_registers_only_the_kinds_the_program_records():
+    code = ("import crossfuse, crossfuse.harness\n"
+            "from crossfuse import tensor\n"
+            "print(' '.join(sorted(tensor._OP_REGISTRY)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crossfuse.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == C.PROGRAM_KINDS
 
 
 def test_op_forward_rejects_unknown_kind_and_non_tensor():
@@ -224,9 +239,8 @@ def test_ops_outside_graph_are_not_recorded():
 def test_graph_records_and_collects_parameters():
     w = T.parameter(np.ones((2, 2), np.float32), "w")
     with Graph() as g:
-        y = T.reduce_sum(T.linear(t32([[1.0, 2.0]]), w))
+        y = C.reduce_sum(T.linear(t32([[1.0, 2.0]]), w))
     assert len(g) == 2
-    assert set(g.parameters) == {"w"}
     assert y.item() == 6.0
 
 
@@ -234,19 +248,19 @@ def test_backward_requires_recorded_scalar():
     with Graph() as g:
         pass
     with pytest.raises(GraphError, match="empty graph"):
-        backward(g, t32(1.0))
+        backward(g, t32(1.0), [])
     w = T.parameter(np.ones(2, np.float32), "w")
     with Graph() as g:
         y = T.add(w, t32([1.0, 1.0]))
     with pytest.raises(GraphError, match="scalar"):
-        backward(g, y)
+        backward(g, y, [w])
 
 
 def test_backward_accumulates_reused_parameter():
     w = T.parameter(np.array([1.0, 2.0], np.float32), "w")
     with Graph() as g:
-        y = T.reduce_sum(T.mul(w, w))
-    grads = backward(g, y)
+        y = C.reduce_sum(C.mul(w, w))
+    grads = backward(g, y, [w])
     np.testing.assert_allclose(grads["w"].data, [2.0, 4.0], rtol=1e-6)
 
 
@@ -254,10 +268,22 @@ def test_backward_zero_grad_for_untouched_parameter():
     w = T.parameter(np.ones(3, np.float32), "w")
     unused = T.parameter(np.ones(2, np.float32), "unused")
     with Graph() as g:
-        y = T.reduce_sum(w)
+        y = C.reduce_sum(w)
     grads = backward(g, y, parameters=[w, unused])
     np.testing.assert_array_equal(grads["unused"].data, [0.0, 0.0])
     np.testing.assert_array_equal(grads["w"].data, [1.0, 1.0, 1.0])
+
+
+def test_backward_serves_only_the_parameters_it_is_given():
+    w = T.parameter(np.array([1.0, 2.0], np.float32), "w")
+    v = T.parameter(np.array([3.0, 4.0], np.float32), "v")
+    with Graph() as g:
+        y = C.reduce_sum(C.mul(w, v))
+    grads = backward(g, y, [w])
+    assert set(grads) == {"w"}  # v is trainable and on the tape, but not asked for
+    np.testing.assert_array_equal(grads["w"].data, [3.0, 4.0])
+    with pytest.raises(TypeError):
+        backward(g, y)  # the parameters are named by the caller, always
 
 
 def test_linear_bias_gradient_golden():
@@ -266,8 +292,8 @@ def test_linear_bias_gradient_golden():
     b = T.parameter(np.zeros(3, np.float32), "b")
     x = t32(np.arange(8, dtype=np.float32).reshape(4, 2))
     with Graph() as g:
-        y = T.reduce_sum(T.linear(x, w, b))
-    grads = backward(g, y)
+        y = C.reduce_sum(T.linear(x, w, b))
+    grads = backward(g, y, [w, b])
     np.testing.assert_array_equal(grads["b"].data, [4.0, 4.0, 4.0])
     np.testing.assert_array_equal(grads["w"].data, [[12.0, 12.0, 12.0], [16.0, 16.0, 16.0]])
 
@@ -294,19 +320,19 @@ def _assert_grads_ok(f, params, tol=1e-3):
 def test_grad_add_with_broadcast():
     rng = _rng(0)
     params = {"a": _param(rng, (3, 4), "a"), "b": _param(rng, (4,), "b")}
-    _assert_grads_ok(lambda p: T.reduce_sum(T.add(p["a"], p["b"])), params)
+    _assert_grads_ok(lambda p: C.reduce_sum(T.add(p["a"], p["b"])), params)
 
 
 def test_grad_mul_with_broadcast():
     rng = _rng(1)
     params = {"a": _param(rng, (2, 3), "a"), "b": _param(rng, (3,), "b")}
-    _assert_grads_ok(lambda p: T.reduce_sum(T.mul(p["a"], p["b"])), params)
+    _assert_grads_ok(lambda p: C.reduce_sum(C.mul(p["a"], p["b"])), params)
 
 
 def test_grad_matmul():
     rng = _rng(2)
     params = {"a": _param(rng, (3, 4), "a"), "b": _param(rng, (4, 2), "b")}
-    _assert_grads_ok(lambda p: T.reduce_sum(T.linear(p["a"], p["b"])), params)
+    _assert_grads_ok(lambda p: C.reduce_sum(T.linear(p["a"], p["b"])), params)
 
 
 def test_grad_linear_rank3_input():
@@ -317,7 +343,7 @@ def test_grad_linear_rank3_input():
         "b": _param(rng, (5,), "b"),
     }
     _assert_grads_ok(
-        lambda p: T.reduce_sum(T.silu(T.linear(p["x"], p["w"], p["b"]))), params
+        lambda p: C.reduce_sum(T.silu(T.linear(p["x"], p["w"], p["b"]))), params
     )
 
 
@@ -329,7 +355,7 @@ def test_grad_conv1d_causal():
         "b": _param(rng, (3,), "b"),
     }
     _assert_grads_ok(
-        lambda p: T.reduce_sum(T.silu(T.conv1d_causal(p["x"], p["k"], p["b"]))), params
+        lambda p: C.reduce_sum(T.silu(C.conv1d_causal(p["x"], p["k"], p["b"]))), params
     )
 
 
@@ -341,7 +367,7 @@ def test_grad_layer_norm():
         "b": _param(rng, (6,), "b"),
     }
     _assert_grads_ok(
-        lambda p: T.reduce_sum(T.mul(T.layer_norm(p["x"], p["g"], p["b"]), p["x"])), params
+        lambda p: C.reduce_sum(C.mul(C.layer_norm(p["x"], p["g"], p["b"]), p["x"])), params
     )
 
 
@@ -350,7 +376,7 @@ def test_grad_silu_softplus_exp():
     params = {"x": _param(rng, (5, 3), "x")}
 
     def f(p):
-        return T.reduce_sum(T.add(T.silu(p["x"]), T.mul(T.softplus(p["x"]), T.exp(p["x"]))))
+        return C.reduce_sum(T.add(T.silu(p["x"]), C.mul(C.softplus(p["x"]), C.exp(p["x"]))))
 
     _assert_grads_ok(f, params)
 
@@ -363,7 +389,7 @@ def test_grad_concat_narrow_reshape_transpose():
         cat = T.concat([p["a"], p["b"]], axis=0)           # (4, 3)
         cut = T.narrow(cat, 0, 1, 2)                       # (2, 3)
         flip = T.transpose(T.reshape(cut, (3, 2)), (1, 0)) # (2, 3)
-        return T.reduce_sum(T.mul(flip, flip))
+        return C.reduce_sum(C.mul(flip, flip))
 
     _assert_grads_ok(f, params)
 
@@ -373,8 +399,8 @@ def test_grad_reductions():
     params = {"x": _param(rng, (3, 4, 2), "x")}
 
     def f(p):
-        partial = T.reduce_mean(p["x"], axis=(0, 2))  # (4,)
-        return T.reduce_sum(T.mul(partial, T.reduce_sum(p["x"], axis=(0, 2))))
+        partial = C.reduce_mean(p["x"], axis=(0, 2))  # (4,)
+        return C.reduce_sum(C.mul(partial, C.reduce_sum(p["x"], axis=(0, 2))))
 
     _assert_grads_ok(f, params)
 
@@ -385,7 +411,7 @@ def test_grad_check_flags_nondeterministic_function():
 
     def f(p):
         state["n"] += 1
-        return T.reduce_sum(T.scale(p["w"], float(state["n"])))
+        return C.reduce_sum(C.scale(p["w"], float(state["n"])))
 
     with pytest.raises(NondeterministicFunctionError):
         grad_check(f, {"w": w})
@@ -394,7 +420,7 @@ def test_grad_check_flags_nondeterministic_function():
 def test_grad_check_reports_worst_parameter():
     rng = _rng(9)
     params = {"a": _param(rng, (2, 2), "a"), "b": _param(rng, (2,), "b")}
-    report = grad_check(lambda p: T.reduce_sum(T.mul(T.silu(p["a"]), p["b"])), params)
+    report = grad_check(lambda p: C.reduce_sum(C.mul(T.silu(p["a"]), p["b"])), params)
     assert set(report.per_param) == {"a", "b"}
     assert report.worst_param in ("a", "b")
     assert report.ok(1e-3)
@@ -416,7 +442,7 @@ def test_suffix_broadcast_matches_numpy(lead, rows, cols, seed):
     a = rng.normal(size=(lead, rows, cols)).astype(np.float32)
     b = rng.normal(size=(rows, cols)).astype(np.float32)
     np.testing.assert_array_equal(T.add(Tensor(a), Tensor(b)).data, a + b)
-    np.testing.assert_array_equal(T.mul(Tensor(b), Tensor(a)).data, b * a)
+    np.testing.assert_array_equal(C.mul(Tensor(b), Tensor(a)).data, b * a)
 
 
 @settings(max_examples=30, deadline=None)
@@ -426,6 +452,6 @@ def test_seeded_graph_is_deterministic(seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
         w = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
-        return T.reduce_sum(T.silu(T.linear(x, w))).item()
+        return C.reduce_sum(T.silu(T.linear(x, w))).item()
 
     assert run() == run()
