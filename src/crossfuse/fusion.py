@@ -11,12 +11,8 @@ Head outputs are concatenated channelwise and a zero-initialized pointwise
 aggregation projects K*C back to C, which is residually added to the
 original (un-embedded) inputs. A fresh stage is therefore the identity map.
 
-``patch`` and ``unpatch`` spell space-to-depth out as reshapes and a
-transpose; the stage no longer runs them, and they stay as the reference the
-gathers are tested against.
-
-An optional carry token per head is prepended before the block stack (the
-temporal module threads it between frames); its output position is dropped
+Optionally each head gets a carry token prepended before its block stack (the
+temporal module threads them between frames); its output position is dropped
 before the up-projection, and the stack's last-position output is handed
 back so the caller can extract the next carry.
 """
@@ -29,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .interleave import build_layout, ocf_flatten, ocf_unflatten
+from .interleave import build_layout, ocf_flatten, ocf_unflatten, patch, unpatch
 from .ssm import MambaBlockParams, init_block, stack_forward
 from .tensor import ShapeError, Tensor
 
@@ -45,45 +41,6 @@ __all__ = [
     "add_embeddings",
     "stage_forward",
 ]
-
-
-def patch(x: Tensor, size: int) -> Tensor:
-    """Space-to-depth: (H, W, C) -> (H/size, W/size, C*size^2).
-
-    Within each block the layout is block-row-major with the original
-    channels fastest, i.e. new channel index = (si*size + sj)*C + c.
-    size=1 is the identity.
-    """
-    if x.ndim != 3:
-        raise ShapeError(f"patch: input must be (H, W, C), got {x.shape}")
-    h, w, c = x.shape
-    if size < 1:
-        raise ValueError(f"patch size must be >= 1, got {size}")
-    if h % size or w % size:
-        raise ShapeError(f"patch: size {size} does not divide map {h}x{w}")
-    if size == 1:
-        return x
-    hb, wb = h // size, w // size
-    t = T.reshape(x, (hb, size, wb, size, c))
-    t = T.transpose(t, (0, 2, 1, 3, 4))
-    return T.reshape(t, (hb, wb, size * size * c))
-
-
-def unpatch(x: Tensor, size: int) -> Tensor:
-    """Inverse of ``patch``: (h, w, C*size^2) -> (h*size, w*size, C)."""
-    if x.ndim != 3:
-        raise ShapeError(f"unpatch: input must be rank-3, got {x.shape}")
-    hb, wb, packed = x.shape
-    if size < 1:
-        raise ValueError(f"patch size must be >= 1, got {size}")
-    if packed % (size * size):
-        raise ShapeError(f"unpatch: channel count {packed} is not divisible by {size}^2")
-    if size == 1:
-        return x
-    c = packed // (size * size)
-    t = T.reshape(x, (hb, wb, size, size, c))
-    t = T.transpose(t, (0, 2, 1, 3, 4))
-    return T.reshape(t, (hb * size, wb * size, c))
 
 
 @dataclass
@@ -158,10 +115,6 @@ class StageConfig:
     def head_dim(self) -> int:
         return self.channels // self.heads
 
-    def token_count(self, head: int) -> int:
-        s = self.patch_sizes[head]
-        return 2 * (self.height // s) * (self.width // s)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -188,15 +141,14 @@ class StageResult:
     head_tokens: list[Tensor] = field(default_factory=list)
 
 
-def init_stage(config: StageConfig, rng: np.random.Generator, prefix: Optional[str] = None) -> StageParams:
-    """Build seeded stage parameters. The aggregation is zeroed, making the
-    whole stage an exact identity until training moves it."""
-    pre = prefix if prefix is not None else config.name
+def init_stage(config: StageConfig, rng: np.random.Generator) -> StageParams:
+    """Seeded stage parameters named after ``config.name``. The aggregation is
+    zeroed, making the whole stage an exact identity until training moves it."""
     c = config.channels
     d = config.head_dim
 
     def p(name, arr):
-        return Tensor(arr, name=f"{pre}.{name}", trainable=True)
+        return Tensor(arr, name=f"{config.name}.{name}", trainable=True)
 
     emb = EmbeddingSet(
         pos=p("emb.pos", rng.normal(0.0, 0.02, size=(config.height, config.width, c)).astype(np.float32)),
@@ -216,7 +168,7 @@ def init_stage(config: StageConfig, rng: np.random.Generator, prefix: Optional[s
                 conv_kernel=config.conv_kernel,
                 expand=config.expand,
                 dt_rank=config.dt_rank,
-                prefix=f"{pre}.head{i}.layer{j}",
+                prefix=f"{config.name}.head{i}.layer{j}",
             )
             for j in range(config.layers)
         ]
@@ -252,12 +204,12 @@ def stage_forward(
     params: StageParams,
     rgb: Tensor,
     thermal: Tensor,
-    carries: Optional[Sequence[Optional[Tensor]]] = None,
+    carries: Optional[Sequence[Tensor]] = None,
 ) -> StageResult:
     """Run one fusion stage on a feature pair.
 
-    ``carries`` is either None or one (1, head_dim) token per head; a head
-    with carry None gets no prepended token.
+    ``carries`` is either None or one (1, head_dim) token per head, which is
+    prepended to that head's tokens.
     """
     cfg = params.config
     expect = (cfg.height, cfg.width, cfg.channels)
@@ -278,17 +230,17 @@ def stage_forward(
         layout = build_layout(cfg.height // s, cfg.width // s, s)
         z = ocf_flatten(e_rgb, e_thm, layout)
         x = T.linear(z, head.w_in)
-        carry = carries[k] if carries is not None else None
-        if carry is not None:
+        if carries is not None:
+            carry = carries[k]
             if carry.shape != (1, head.head_dim):
                 raise ShapeError(
                     f"stage_forward[{cfg.name}]: head {k} carry shape {carry.shape} "
                     f"!= (1, {head.head_dim})"
                 )
             x = T.concat([carry, x], axis=0)
-        tokens, _ = stack_forward(head.blocks, x)
+        tokens = stack_forward(head.blocks, x)
         head_tokens.append(tokens)
-        feats = T.narrow(tokens, 0, 1, layout.tokens) if carry is not None else tokens
+        feats = T.narrow(tokens, 0, 1, layout.tokens) if carries is not None else tokens
         y = T.linear(feats, head.out_w, head.out_b)
         r_delta, t_delta = ocf_unflatten(y, layout)
         up_rgb.append(T.add(e_rgb, r_delta))

@@ -14,8 +14,6 @@ context is controlled by ``reset_every``: None streams each full clip,
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,12 +120,11 @@ def evaluate(
     model: DetectionModel,
     dataset: Dataset,
     reset_every: Optional[int] = None,
-    settings: Sequence[EvalSetting] = DEFAULT_SETTINGS,
     detections_path=None,
 ) -> dict:
     """Score a model on a dataset; returns the report dict.
 
-    The report carries overall numbers per evaluation setting plus the same
+    The report carries overall numbers per ``DEFAULT_SETTINGS`` entry plus the same
     breakdown per clip tag (day/night). ``detections_path`` optionally dumps
     every decoded box as JSONL for offline rescoring.
     """
@@ -157,9 +154,9 @@ def evaluate(
         "iou_threshold": iou_threshold,
         "n_clips": len(dataset.clips),
         "n_frames": len(frames_all),
-        "settings": _summarize(frames_all, settings, iou_threshold, with_curve=True),
+        "settings": _summarize(frames_all, DEFAULT_SETTINGS, iou_threshold, with_curve=True),
         "by_tag": {
-            tag: _summarize(rows, settings, iou_threshold, with_curve=False)
+            tag: _summarize(rows, DEFAULT_SETTINGS, iou_threshold, with_curve=False)
             for tag, rows in sorted(frames_by_tag.items())
         },
     }

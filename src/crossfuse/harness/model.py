@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..config import backbone_widths, stage_configs_from, FUSER_NAMES, STAGE_NAMES, STAGE_STRIDES
-from ..interleave import space_to_depth
+from ..interleave import patch
 from ..temporal import FeaturePair, FusionModel, build_model, fuse_clip, swap_parameters, walk_parameters
 from ..tensor import ShapeError, Tensor
 
@@ -102,7 +102,7 @@ class DetectionModel:
             x = img
             for stage in STAGE_NAMES:
                 p = self.backbone[(modality, stage)]
-                x = T.silu(T.linear(space_to_depth(x, _STAGE_PATCH[stage]), p["w"], p["b"]))
+                x = T.silu(T.linear(patch(x, _STAGE_PATCH[stage]), p["w"], p["b"]))
                 feats[(modality, stage)] = x
         return {
             stage: FeaturePair(stage=stage, rgb=feats[("rgb", stage)], thermal=feats[("thermal", stage)])

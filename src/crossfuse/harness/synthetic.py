@@ -158,7 +158,7 @@ class Dataset:
         )
 
 
-def gen_clips(spec: SyntheticClipSpec, count: int, out_dir, render: RenderParams = RenderParams()) -> dict:
+def gen_clips(spec: SyntheticClipSpec, count: int, out_dir) -> dict:
     """Write ``count`` clips plus a manifest; fully determined by spec.seed.
 
     Returns the manifest dict. Layout:
@@ -173,6 +173,7 @@ def gen_clips(spec: SyntheticClipSpec, count: int, out_dir, render: RenderParams
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
+    render = RenderParams()
     manifest_clips = []
     for ci in range(count):
         clip_id = f"clip{ci:04d}"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -221,7 +220,6 @@ def train(
     cfg: dict,
     dataset: Dataset,
     out_dir,
-    log_every: int = 50,
     quiet: bool = True,
 ) -> dict:
     """Train one model per the config; returns a summary dict.
@@ -229,6 +227,7 @@ def train(
     Writes ``out_dir/`` as a checkpoint directory (tensors + index) plus
     ``loss_log.jsonl``. The clip visit order and all initialization derive
     from ``cfg['seed']``, so identical inputs give identical checkpoints.
+    Unless ``quiet``, the loss is printed at step 1 and every 50th step.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,7 +269,7 @@ def train(
         model.replace_parameters(opt.step(params, grads))
 
         log.append({"step": step, "loss": loss_value, "clip": clip.clip_id})
-        if not quiet and (step == 1 or step % log_every == 0):
+        if not quiet and (step == 1 or step % 50 == 0):
             print(f"step {step:5d}  loss {loss_value:.5f}")
 
     with open(out / "loss_log.jsonl", "w") as fp:

@@ -12,23 +12,22 @@ its thermal token, which is what lets a causal sequence model mix the two
 spectra at matching positions.
 
 The layout is a pure permutation of pixels, cached per (rows, cols, S),
-with an exact inverse. Flattening is one gather of pixel rows and
-un-flattening one gather per modality, each a single ``take_rows`` op.
+with an exact inverse. Flattening is one gather of pixel rows, un-flattening
+one gather per modality, and ``patch``/``unpatch`` (space-to-depth on one
+map and back) one gather each, all ``take_rows`` ops.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor, register_op
 
-__all__ = ["OcfLayout", "build_layout", "ocf_flatten", "ocf_unflatten", "space_to_depth"]
+__all__ = ["OcfLayout", "build_layout", "ocf_flatten", "ocf_unflatten", "patch", "unpatch"]
 
 TAKE_OP = "take_rows"
 
@@ -59,21 +58,15 @@ def _layout_indices(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _take_rows_fwd(*arrays, indices=None, width=None, shape=None):
+def _take_rows_fwd(*arrays, indices, width, shape):
     """Rows of the inputs, stacked in order, picked by ``indices``.
 
     Each input is viewed as rows of ``width`` values and the picked rows are
-    reshaped to ``shape``; without them, a row is everything past the first
-    axis of the input.
+    reshaped to ``shape``.
     """
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ShapeError(f"take_rows: indices must be 1-d, got shape {idx.shape}")
-    if arrays[0].ndim < 1:
-        raise ShapeError("take_rows: input must have at least one axis")
-    if width is None:
-        width = math.prod(arrays[0].shape[1:])
-        shape = (idx.size,) + arrays[0].shape[1:]
     rows = [a.reshape(-1, width) for a in arrays]
     stacked = rows[0] if len(rows) == 1 else np.concatenate(rows)
     lo, hi, distinct = _index_facts(idx)
@@ -153,6 +146,12 @@ def _block_pixels(rows: int, cols: int, patch: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _pixel_blocks(rows: int, cols: int, patch: int) -> np.ndarray:
+    """Inverse of ``_block_pixels``: the packed row of every map pixel."""
+    return _layout_indices(_inverse(_block_pixels(rows, cols, patch)))
+
+
+@lru_cache(maxsize=None)
 def build_layout(rows: int, cols: int, patch: int = 1) -> OcfLayout:
     if rows < 1 or cols < 1:
         raise ValueError(f"layout needs rows >= 1 and cols >= 1, got ({rows}, {cols})")
@@ -172,20 +171,18 @@ def build_layout(rows: int, cols: int, patch: int = 1) -> OcfLayout:
                      scatter=scatter, unflatten=halves, patch=patch)
 
 
-def ocf_flatten(rgb: Tensor, thermal: Tensor, layout: Optional[OcfLayout] = None) -> Tensor:
+def ocf_flatten(rgb: Tensor, thermal: Tensor, layout: OcfLayout) -> Tensor:
     """Interleave an RGB/thermal map pair into one token sequence.
 
     Both inputs must be (rows*S, cols*S, channels) with identical shapes; the
-    result is (2*rows*cols, channels*S^2). Without a layout S is 1.
+    result is (2*rows*cols, channels*S^2).
     """
     if rgb.ndim != 3 or thermal.ndim != 3:
         raise ShapeError(f"ocf_flatten: maps must be rank-3, got {rgb.shape} and {thermal.shape}")
     if rgb.shape != thermal.shape:
         raise ShapeError(f"ocf_flatten: map shapes differ, {rgb.shape} vs {thermal.shape}")
     height, width, channels = rgb.shape
-    if layout is None:
-        layout = build_layout(height, width)
-    elif (layout.rows * layout.patch, layout.cols * layout.patch) != (height, width):
+    if (layout.rows * layout.patch, layout.cols * layout.patch) != (height, width):
         raise ShapeError(f"ocf_flatten: layout is {layout.rows}x{layout.cols} blocks of "
                          f"{layout.patch}x{layout.patch}, maps are {height}x{width}")
     shape = (layout.tokens, channels * layout.patch * layout.patch)
@@ -211,15 +208,34 @@ def ocf_unflatten(tokens: Tensor, layout: OcfLayout) -> tuple[Tensor, Tensor]:
                  for half in layout.unflatten)
 
 
-def space_to_depth(x: Tensor, size: int) -> Tensor:
-    """(H, W, C) -> (H/size, W/size, C*size^2) as one gather, packed like a
-    layout's tokens: channel index (si*size + sj)*C + c."""
+def patch(x: Tensor, size: int) -> Tensor:
+    """Space-to-depth, (H, W, C) -> (H/size, W/size, C*size^2), as one gather.
+    Blocks are packed block-row-major with the channels fastest, channel
+    (si*size + sj)*C + c; size=1 is the identity."""
     if x.ndim != 3:
-        raise ShapeError(f"space_to_depth: input must be (H, W, C), got {x.shape}")
+        raise ShapeError(f"patch: input must be (H, W, C), got {x.shape}")
     h, w, c = x.shape
     if size < 1:
         raise ValueError(f"patch size must be >= 1, got {size}")
     if h % size or w % size:
-        raise ShapeError(f"space_to_depth: size {size} does not divide map {h}x{w}")
+        raise ShapeError(f"patch: size {size} does not divide map {h}x{w}")
+    if size == 1:
+        return x
     return T.op_forward(TAKE_OP, (x,), indices=_block_pixels(h // size, w // size, size), width=c,
                         shape=(h // size, w // size, size * size * c))
+
+
+def unpatch(x: Tensor, size: int) -> Tensor:
+    """Inverse of ``patch``: (h, w, C*size^2) -> (h*size, w*size, C), one gather."""
+    if x.ndim != 3:
+        raise ShapeError(f"unpatch: input must be rank-3, got {x.shape}")
+    hb, wb, packed = x.shape
+    if size < 1:
+        raise ValueError(f"patch size must be >= 1, got {size}")
+    if packed % (size * size):
+        raise ShapeError(f"unpatch: channel count {packed} is not divisible by {size}^2")
+    if size == 1:
+        return x
+    c = packed // (size * size)
+    return T.op_forward(TAKE_OP, (x,), indices=_pixel_blocks(hb, wb, size), width=c,
+                        shape=(hb * size, wb * size, c))

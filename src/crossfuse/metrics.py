@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -287,5 +286,8 @@ def read_boxes_jsonl(path) -> dict[str, list[Box]]:
             frame_id = str(row["frame_id"])
             if frame_id in out:
                 raise ValueError(f"{path}:{line_no}: duplicate frame_id {frame_id!r}")
-            out[frame_id] = [Box.from_dict(b) for b in row["boxes"]]
+            try:
+                out[frame_id] = [Box.from_dict(b) for b in row["boxes"]]
+            except (KeyError, TypeError) as e:
+                raise ValueError(f"{path}:{line_no}: bad boxes ({type(e).__name__}: {e})") from e
     return out

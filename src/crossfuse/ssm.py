@@ -116,8 +116,8 @@ class SSMState:
     h: Tensor
 
     @classmethod
-    def zeros(cls, channels: int, state_size: int, dtype=np.float32) -> "SSMState":
-        return cls(Tensor(np.zeros((channels, state_size), dtype=dtype)))
+    def zeros(cls, channels: int, state_size: int) -> "SSMState":
+        return cls(Tensor(np.zeros((channels, state_size), dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +328,10 @@ def init_ssm(
     channels: int,
     state_size: int = 16,
     dt_rank: Optional[int] = None,
-    dt_min: float = 1e-3,
-    dt_max: float = 1e-1,
     prefix: str = "ssm",
 ) -> SSMParams:
     """Seeded init. -A spans 1..state_size per channel so decay rates are
-    spread, and softplus(dt_bias) lands log-uniform in [dt_min, dt_max]."""
+    spread, and softplus(dt_bias) lands log-uniform in [1e-3, 1e-1]."""
     if channels < 1 or state_size < 1:
         raise ValueError(f"channels={channels} and state_size={state_size} must be >= 1")
     r = dt_rank if dt_rank is not None else default_dt_rank(channels)
@@ -342,7 +340,7 @@ def init_ssm(
     dt_down = rng.normal(0.0, channels ** -0.5, size=(channels, r)).astype(np.float32)
     bound = r ** -0.5
     dt_up = rng.uniform(-bound, bound, size=(r, channels)).astype(np.float32)
-    dt = np.exp(rng.uniform(math.log(dt_min), math.log(dt_max), size=channels))
+    dt = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=channels))
     dt_bias = np.log(np.expm1(dt)).astype(np.float32)  # softplus inverse
     w_out = rng.normal(0.0, state_size ** -0.5, size=(channels, state_size)).astype(np.float32)
 
@@ -447,13 +445,11 @@ def block_forward(block: MambaBlockParams, tokens: Tensor) -> Tensor:
         block.out_w, block.out_b, ssm.w_b, ssm.dt_down, ssm.dt_up, ssm.dt_bias, ssm.a_log, ssm.w_out))
 
 
-def stack_forward(blocks: Sequence[MambaBlockParams], tokens: Tensor) -> tuple[Tensor, list[Tensor]]:
-    """Compose blocks in order; also returns every layer's output tokens."""
+def stack_forward(blocks: Sequence[MambaBlockParams], tokens: Tensor) -> Tensor:
+    """Compose blocks in order; returns the last block's output tokens."""
     if not blocks:
         raise ValueError("stack_forward: need at least one block")
-    outputs = []
     x = tokens
     for block in blocks:
         x = block_forward(block, x)
-        outputs.append(x)
-    return x, outputs
+    return x

@@ -15,8 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, is_dataclass
-from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,12 +73,6 @@ class FusionModel:
     @property
     def configs(self) -> list[StageConfig]:
         return [s.config for s in self.stages]
-
-    def stage(self, name: str) -> StageParams:
-        for s in self.stages:
-            if s.config.name == name:
-                return s
-        raise KeyError(f"no stage named {name!r} (have {self.stage_names})")
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {t.name: t for _, _, t in walk_parameters(self.stages)}
@@ -163,9 +156,6 @@ class StreamState:
     carries: dict[str, list[Tensor]]
     frame_index: int
     model_hash: str
-
-    def carry_floats(self) -> int:
-        return sum(t.size for ts in self.carries.values() for t in ts)
 
 
 def init_stream(model: FusionModel) -> StreamState:

@@ -1,13 +1,13 @@
 """Dense float tensors with taped reverse-mode differentiation.
 
 The registry holds the kinds the program records: suffix-broadcast add, a
-linear map ``x @ w`` with an optional bias (also behind ``Tensor.__matmul__``),
-silu and the shape ops (concat, slice, reshape, transpose). Domain modules
-register their fused ops (``take_rows``, ``ssm_scan``, ``mamba_block``,
-``detection_loss``) through ``register_op``. The kernels those fused ops are
-built from (layer norm, causal depthwise convolution, softplus, exp, mul,
-sum/mean reductions) live here as plain forward/adjoint pairs; the test suite
-registers them as op kinds of its own to check the fused ops against.
+linear map ``x @ w`` with an optional bias, silu and the shape ops (concat,
+slice, transpose). Domain modules register their fused ops (``take_rows``,
+``ssm_scan``, ``mamba_block``, ``detection_loss``) through ``register_op``.
+The kernels those fused ops are built from (layer norm, causal depthwise
+convolution, softplus, exp, mul, sum/mean reductions) live here as plain
+forward/adjoint pairs; the test suite registers them as op kinds of its own
+to check the fused ops against.
 
 Values are immutable: every op returns a fresh ``Tensor`` and the backing
 numpy buffers are marked read-only. Recording is explicit; ops executed
@@ -17,7 +17,6 @@ path.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -41,7 +40,6 @@ __all__ = [
     "silu",
     "concat",
     "narrow",
-    "reshape",
     "transpose",
 ]
 
@@ -106,9 +104,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return linear(self, other)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -249,9 +244,6 @@ class GradCheckReport:
     worst_param: str
     worst_index: tuple
     per_param: dict[str, float] = field(default_factory=dict)
-
-    def ok(self, tol: float = 1e-3) -> bool:
-        return self.max_rel_error < tol
 
 
 def grad_check(f: Callable[[dict[str, Tensor]], Tensor], params: dict[str, Tensor], eps: float = 1e-5) -> GradCheckReport:
@@ -535,17 +527,6 @@ def _slice_bwd(ctx, g):
     return (out,)
 
 
-def _reshape_fwd(x, shape=()):
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} ({x.size} elements) as {shape}")
-    return x.reshape(shape), {"shape": x.shape}
-
-
-def _reshape_bwd(ctx, g):
-    return (g.reshape(ctx["shape"]),)
-
-
 def _transpose_fwd(x, axes=()):
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.ndim)):
@@ -599,7 +580,6 @@ register_op("linear", _linear_fwd, _linear_bwd)
 register_op("silu", _silu_fwd, _silu_bwd)
 register_op("concat", _concat_fwd, _concat_bwd)
 register_op("slice", _slice_fwd, _slice_bwd)
-register_op("reshape", _reshape_fwd, _reshape_bwd)
 register_op("transpose", _transpose_fwd, _transpose_bwd)
 
 
@@ -626,10 +606,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return op_forward("slice", (x,), axis=axis, start=start, length=length)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    return op_forward("reshape", (x,), shape=tuple(shape))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:

@@ -15,6 +15,7 @@ its byte offset. float64 tensors are narrowed to float32 on write.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -54,16 +55,18 @@ def read_tensor(fp: BinaryIO) -> Tensor:
     if len(raw) != 4:
         raise TensorFormatError("truncated header: missing rank")
     (rank,) = struct.unpack("<I", raw)
-    raw = fp.read(4 * rank)
-    if len(raw) != 4 * rank:
+    # The header's sizes are checked against the bytes left before they are
+    # read, so a corrupted header cannot ask for a read of any size.
+    here = fp.tell()
+    left = fp.seek(0, os.SEEK_END) - here
+    fp.seek(here)
+    if 4 * rank > left:
         raise TensorFormatError(f"truncated header: expected {rank} dims")
-    dims = struct.unpack(f"<{rank}I", raw) if rank else ()
-    count = 1
-    for d in dims:
-        count *= d
+    dims = struct.unpack(f"<{rank}I", fp.read(4 * rank)) if rank else ()
+    count = math.prod(dims)
+    if 4 * count > left - 4 * rank:
+        raise TensorFormatError(f"truncated payload: wanted {4 * count} bytes, got {left - 4 * rank}")
     payload = fp.read(4 * count)
-    if len(payload) != 4 * count:
-        raise TensorFormatError(f"truncated payload: wanted {4 * count} bytes, got {len(payload)}")
     arr = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(dims)
     return Tensor(arr)
 
@@ -115,23 +118,43 @@ def save_checkpoint(dirpath, tensors: dict[str, Tensor], metadata: Optional[dict
 
 
 def load_checkpoint(dirpath) -> tuple[dict[str, Tensor], dict]:
+    """Read a checkpoint written by ``save_checkpoint``. A malformed index or
+    a record that does not match it raises ``TensorFormatError``."""
     d = Path(dirpath)
     index_path = d / INDEX_NAME
     data_path = d / DATA_NAME
     if not index_path.exists() or not data_path.exists():
         raise TensorFormatError(f"{d} is not a checkpoint directory (missing index or data file)")
     with open(index_path) as fp:
-        index = json.load(fp)
-    if index.get("schema_version") != SCHEMA_VERSION:
-        raise TensorFormatError(f"unsupported checkpoint schema {index.get('schema_version')!r}")
+        try:
+            index = json.load(fp)
+        except json.JSONDecodeError as e:
+            raise TensorFormatError(f"{index_path}: bad JSON ({e})") from e
+    schema = index.get("schema_version") if isinstance(index, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise TensorFormatError(f"unsupported checkpoint schema {schema!r}")
+    entries = index.get("entries")
+    if not isinstance(entries, list):
+        raise TensorFormatError(f"{index_path}: entries must be a list, got {type(entries).__name__}")
     tensors: dict[str, Tensor] = {}
     with open(data_path, "rb") as fp:
-        for entry in index["entries"]:
+        for i, entry in enumerate(entries):
+            if not (isinstance(entry, dict) and {"name", "offset", "shape"} <= entry.keys()
+                    and isinstance(entry["name"], str)
+                    and type(entry["offset"]) is int and entry["offset"] >= 0):
+                raise TensorFormatError(f"{index_path}: entry {i} needs a string name, a shape and "
+                                        f"an offset >= 0, got {entry!r:.200}")
+            name = entry["name"]
+            if name in tensors:
+                raise TensorFormatError(f"{index_path}: entry {i} repeats the name {name!r}")
             fp.seek(entry["offset"])
-            t = read_tensor(fp)
+            try:
+                t = read_tensor(fp)
+            except TensorFormatError as e:
+                raise TensorFormatError(f"{name}: {e}") from e
             if list(t.shape) != entry["shape"]:
                 raise TensorFormatError(
-                    f"{entry['name']}: stored shape {list(t.shape)} != index shape {entry['shape']}"
+                    f"{name}: stored shape {list(t.shape)} != index shape {entry['shape']}"
                 )
-            tensors[entry["name"]] = t
+            tensors[name] = t
     return tensors, index.get("metadata", {})

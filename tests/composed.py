@@ -8,10 +8,12 @@ against it bit for bit.
 The program records none of the chains' elementwise, normalisation and
 reduction ops, so the engine's registry does not hold them. This module
 registers them on import, over the engine's kernels, with their wrappers.
+It also registers ``reshape``, which only the tests' own chains record.
 Import it under the one name ``composed``: a second import under another name
 would register every kind twice, which ``register_op`` rejects.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -24,8 +26,8 @@ from crossfuse.tensor import Tensor, op_forward, register_op
 
 
 # What a fresh ``import crossfuse, crossfuse.harness`` registers, sorted.
-PROGRAM_KINDS = ["add", "concat", "detection_loss", "linear", "mamba_block", "reshape",
-                 "silu", "slice", "ssm_scan", "take_rows", "transpose"]
+PROGRAM_KINDS = ["add", "concat", "detection_loss", "linear", "mamba_block", "silu", "slice",
+                 "ssm_scan", "take_rows", "transpose"]
 
 
 def _mean_bwd(ctx, g):
@@ -33,6 +35,17 @@ def _mean_bwd(ctx, g):
     for a in ctx["axes"]:
         n *= ctx["shape"][a]
     return (np.ascontiguousarray(T._expand_reduced(g, ctx["shape"], ctx["axes"]) / n),)
+
+
+def _reshape_fwd(x, shape=()):
+    shape = tuple(int(s) for s in shape)
+    if math.prod(shape) != x.size:
+        raise T.ShapeError(f"reshape: cannot view {x.shape} ({x.size} elements) as {shape}")
+    return x.reshape(shape), {"shape": x.shape}
+
+
+def _reshape_bwd(ctx, g):
+    return (g.reshape(ctx["shape"]),)
 
 
 register_op("mul", T._mul_fwd, T._mul_bwd)
@@ -43,6 +56,7 @@ register_op("exp", T._exp_fwd, T._exp_bwd)
 register_op("reduce_sum", T._sum_fwd, T._sum_bwd)
 register_op("reduce_mean", T._mean_fwd, _mean_bwd)
 register_op("huber", _huber_fwd, _huber_bwd)
+register_op("reshape", _reshape_fwd, _reshape_bwd)
 
 
 def _const_like(t: Tensor, value) -> Tensor:
@@ -91,6 +105,10 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
 
 def huber(x: Tensor, beta: float = 1.0) -> Tensor:
     return op_forward("huber", (x,), beta=beta)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    return op_forward("reshape", (x,), shape=tuple(shape))
 
 
 def composed_block(block: ssm_mod.MambaBlockParams, tokens: Tensor) -> Tensor:

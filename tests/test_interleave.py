@@ -19,7 +19,6 @@ from crossfuse.interleave import (
     build_layout,
     ocf_flatten,
     ocf_unflatten,
-    space_to_depth,
 )
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check, op_forward
 
@@ -77,7 +76,7 @@ def test_order_modalities_alternate_per_pixel():
 def test_flatten_1x2_token_values():
     rgb = Tensor(np.array([[[10.0], [11.0]]], np.float32))
     thm = Tensor(np.array([[[20.0], [21.0]]], np.float32))
-    out = ocf_flatten(rgb, thm)
+    out = ocf_flatten(rgb, thm, build_layout(1, 2))
     np.testing.assert_array_equal(out.data[:, 0], [10.0, 20.0, 11.0, 21.0])
 
 
@@ -142,7 +141,7 @@ def test_flatten_gradient_is_inverse_permutation():
     rgb, thm = _grids(2, 2, channels=1, seed=3)
     with Graph() as g:
         rgb_p = T.parameter(rgb.data, "p.rgb")
-        tokens = ocf_flatten(rgb_p, thm)
+        tokens = ocf_flatten(rgb_p, thm, build_layout(2, 2))
         weights = Tensor(np.arange(8, dtype=np.float32).reshape(8, 1))
         loss = C.reduce_sum(C.mul(tokens, weights))
     grads = backward(g, loss, [rgb_p])
@@ -158,7 +157,7 @@ def test_take_rows_duplicate_indices_accumulate():
     # row 0 on the way back.
     with Graph() as g:
         x = T.parameter(np.array([[1.0], [2.0]], np.float32), "p.x")
-        picked = op_forward("take_rows", [x], indices=(0, 0, 0, 1))
+        picked = op_forward("take_rows", [x], indices=(0, 0, 0, 1), width=1, shape=(4, 1))
         loss = C.reduce_sum(picked)
     grads = backward(g, loss, [x])
     np.testing.assert_array_equal(grads["p.x"].data, [[3.0], [1.0]])
@@ -172,13 +171,13 @@ def test_flatten_rejects_mismatched_modalities():
     rgb, _ = _grids(2, 2)
     _, thm = _grids(2, 3)
     with pytest.raises(ShapeError, match="shapes differ"):
-        ocf_flatten(rgb, thm)
+        ocf_flatten(rgb, thm, build_layout(2, 2))
 
 
 def test_flatten_rejects_wrong_rank():
     bad = Tensor(np.zeros((2, 2), np.float32))
     with pytest.raises(ShapeError, match="rank-3"):
-        ocf_flatten(bad, bad)
+        ocf_flatten(bad, bad, build_layout(2, 2))
 
 
 def test_flatten_rejects_layout_for_other_grid():
@@ -199,6 +198,8 @@ def test_take_rows_rejects_out_of_range_index():
             "take_rows",
             [Tensor(np.zeros((2, 1), np.float32))],
             indices=(0, 5),
+            width=1,
+            shape=(2, 1),
         )
 
 
@@ -215,18 +216,20 @@ def _chained_flatten(rgb, thm, size):
     """patch, then the unpatched flatten as it was composed from core ops."""
     p_rgb, p_thm = patch(rgb, size), patch(thm, size)
     rows, cols, packed = p_rgb.shape
-    stacked = T.concat([T.reshape(p_rgb, (rows * cols, packed)), T.reshape(p_thm, (rows * cols, packed))], axis=0)
-    return op_forward("take_rows", (stacked,), indices=build_layout(rows, cols).gather)
+    stacked = T.concat([C.reshape(p_rgb, (rows * cols, packed)), C.reshape(p_thm, (rows * cols, packed))], axis=0)
+    return op_forward("take_rows", (stacked,), indices=build_layout(rows, cols).gather, width=packed,
+                      shape=(2 * rows * cols, packed))
 
 
 def _chained_unflatten(tokens, rows, cols, size):
     """The unpatched unflatten as it was composed from core ops, then unpatch."""
     layout = build_layout(rows, cols)
     packed = tokens.shape[1]
-    stacked = op_forward("take_rows", (tokens,), indices=layout.scatter)
+    stacked = op_forward("take_rows", (tokens,), indices=layout.scatter, width=packed,
+                         shape=tokens.shape)
     hw = rows * cols
     halves = (T.narrow(stacked, 0, 0, hw), T.narrow(stacked, 0, hw, hw))
-    return tuple(unpatch(T.reshape(h, (rows, cols, packed)), size) for h in halves)
+    return tuple(unpatch(C.reshape(h, (rows, cols, packed)), size) for h in halves)
 
 
 def _weighted_sum(outputs, rng):
@@ -274,8 +277,15 @@ def test_patched_layout_equals_patch_then_flatten(rows, cols, channels, size, se
     want = _run(lambda y: _chained_unflatten(y, rows, cols, size), [tokens], seed)
     _assert_same(got[0] + got[1], want[0] + want[1])
 
-    got = _run(lambda x: space_to_depth(x, size), maps[:1], seed)
-    _assert_same(got[0] + got[1], sum(_run(lambda x: patch(x, size), maps[:1], seed), []))
+    # patch against space-to-depth spelt out in numpy; its adjoint is the
+    # inverse permutation of the upstream gradient.
+    (packed,), (grad,) = _run(lambda x: patch(x, size), maps[:1], seed)
+    h, w = rows * size, cols * size
+    blocks = maps[0].reshape(rows, size, cols, size, channels).transpose(0, 2, 1, 3, 4)
+    _assert_same([packed], [blocks.reshape(rows, cols, size * size * channels)])
+    g_out = np.random.default_rng(seed).normal(size=packed.shape).astype(np.float32)
+    g_in = g_out.reshape(rows, cols, size, size, channels).transpose(0, 2, 1, 3, 4).reshape(h, w, channels)
+    _assert_same([grad], [g_in])
 
 
 def test_patched_layout_adjoints_pass_grad_check():

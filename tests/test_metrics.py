@@ -321,3 +321,15 @@ def test_jsonl_read_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="duplicate"):
         read_boxes_jsonl(dup)
+
+
+def test_jsonl_bad_box_rows_name_the_file_and_line(tmp_path):
+    no_h = tmp_path / "d.jsonl"
+    no_h.write_text('{"frame_id": "f0", "boxes": []}\n{"frame_id": "f1", "boxes": [{"x": 1, "y": 2, "w": 3}]}\n')
+    with pytest.raises(ValueError, match=f"{no_h}:2: bad boxes \\(KeyError: 'h'\\)"):
+        read_boxes_jsonl(no_h)
+
+    not_a_list = tmp_path / "e.jsonl"
+    not_a_list.write_text('{"frame_id": "f0", "boxes": 5}\n')
+    with pytest.raises(ValueError, match=f"{not_a_list}:1: bad boxes \\(TypeError"):
+        read_boxes_jsonl(not_a_list)

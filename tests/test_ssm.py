@@ -397,11 +397,14 @@ def test_block_pencil_value():
     np.testing.assert_allclose(out.data[:, 0], expected, rtol=0, atol=1e-6)
 
 
-def test_stack_forward_returns_layer_outputs():
+def test_stack_forward_composes_blocks_in_order():
     rng = np.random.default_rng(8)
     blocks = [_active_block(rng, dim=3, state_size=2) for _ in range(3)]
     tokens = Tensor(rng.normal(size=(5, 3)).astype(np.float32))
-    final, per_layer = stack_forward(blocks, tokens)
+    final = stack_forward(blocks, tokens)
+    per_layer = [block_forward(blocks[0], tokens)]
+    for block in blocks[1:]:
+        per_layer.append(block_forward(block, per_layer[-1]))
     assert len(per_layer) == 3
     np.testing.assert_array_equal(per_layer[-1].data, final.data)
     assert not np.array_equal(per_layer[0].data, final.data)
@@ -470,7 +473,7 @@ def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
     a = C.scale(C.exp(params.a_log), -1.0)
     h_all = T.op_forward("test_recurrence", (tokens, delta, b_seq, a, state0.h))
     y = C.reduce_sum(C.mul(h_all, params.w_out), axis=-1)
-    last = T.reshape(T.narrow(h_all, 0, length - 1, 1), (channels, params.state_size))
+    last = C.reshape(T.narrow(h_all, 0, length - 1, 1), (channels, params.state_size))
     return y, SSMState(last)
 
 

@@ -81,7 +81,7 @@ def test_init_stream_is_zero_with_fixed_budget():
         for t in ts:
             np.testing.assert_array_equal(t.data, 0.0)
     # Two f1 heads of width 2 plus one f2 head of width 2.
-    assert state.carry_floats() == 6
+    assert sum(t.size for ts in state.carries.values() for t in ts) == 6
 
 
 def test_fuse_next_advances_frame_index():
@@ -98,10 +98,10 @@ def test_carry_budget_is_constant_across_frames():
     configs = _configs()
     model = _activate(build_model(configs, seed=0), np.random.default_rng(1))
     state = init_stream(model)
-    budgets = [state.carry_floats()]
+    budgets = [sum(t.size for ts in state.carries.values() for t in ts)]
     for pyramid in _clip(configs, 5, seed=2):
         _, state = fuse_next(model, state, pyramid)
-        budgets.append(state.carry_floats())
+        budgets.append(sum(t.size for ts in state.carries.values() for t in ts))
     assert budgets == [6] * 6
 
 
@@ -332,13 +332,6 @@ def test_rejected_replace_leaves_every_parameter_unchanged(bad_name, error):
     assert list(after) == list(before)
     for k, arr in before.items():
         np.testing.assert_array_equal(after[k].data, arr)
-
-
-def test_model_stage_lookup():
-    model = build_model(_configs(), seed=0)
-    assert model.stage("f2").config.name == "f2"
-    with pytest.raises(KeyError, match="no stage named"):
-        model.stage("f9")
 
 
 def test_non_finite_frame_is_rejected_and_leaves_the_stream_usable():

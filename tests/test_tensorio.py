@@ -73,6 +73,40 @@ def test_truncated_payload_is_rejected():
         read_tensor(io.BytesIO(clipped))
 
 
+class _ReadLog(io.BytesIO):
+    """A byte stream that records the size of every read."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def test_corrupted_dims_raise_format_error():
+    # 2^32 - 1 squared elements: the count overflowed a read before.
+    header = MAGIC + struct.pack("<I", 2) + struct.pack("<2I", 0xFFFFFFFF, 0xFFFFFFFF)
+    with pytest.raises(TensorFormatError, match="truncated payload"):
+        read_tensor(io.BytesIO(header + b"\x00" * 16))
+
+
+def test_a_header_claiming_a_large_payload_reads_nothing_past_the_stream():
+    body = np.zeros(4, dtype="<f4").tobytes()
+    stream = _ReadLog(MAGIC + struct.pack("<I", 1) + struct.pack("<I", 1 << 28) + body)
+    with pytest.raises(TensorFormatError, match=f"wanted {4 << 28} bytes, got {len(body)}"):
+        read_tensor(stream)
+    assert max(stream.sizes) <= len(stream.getvalue())
+
+
+def test_a_corrupted_rank_reads_nothing_past_the_stream():
+    stream = _ReadLog(MAGIC + struct.pack("<I", 0xFFFFFFFF) + b"\x00" * 8)
+    with pytest.raises(TensorFormatError, match="truncated header: expected 4294967295 dims"):
+        read_tensor(stream)
+    assert max(stream.sizes) <= len(stream.getvalue())
+
+
 def test_stream_holds_multiple_records():
     buf = io.BytesIO()
     write_tensor(buf, Tensor(np.array([1.0], np.float32)))
@@ -140,6 +174,61 @@ def test_checkpoint_rejects_unknown_schema(tmp_path):
     index["schema_version"] = 99
     (tmp_path / "index.json").write_text(json.dumps(index))
     with pytest.raises(TensorFormatError, match="schema"):
+        load_checkpoint(tmp_path)
+
+
+def _tamper_index(dirpath, edit):
+    path = dirpath / "index.json"
+    path.write_text(edit(json.loads(path.read_text())))
+
+
+def test_checkpoint_rejects_malformed_index_json(tmp_path):
+    save_checkpoint(tmp_path, _tensors())
+    _tamper_index(tmp_path, lambda index: json.dumps(index)[:-5])
+    with pytest.raises(TensorFormatError, match="index.json: bad JSON"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_entries_that_are_not_a_list(tmp_path):
+    save_checkpoint(tmp_path, _tensors())
+    _tamper_index(tmp_path, lambda index: json.dumps(dict(index, entries=5)))
+    with pytest.raises(TensorFormatError, match="entries must be a list, got int"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_names_an_entry_without_offset(tmp_path):
+    save_checkpoint(tmp_path, _tensors())
+
+    def drop_offset(index):
+        del index["entries"][1]["offset"]
+        return json.dumps(index)
+
+    _tamper_index(tmp_path, drop_offset)
+    with pytest.raises(TensorFormatError, match="entry 1 needs .* offset >= 0, got .*'stage.b'"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_a_repeated_name(tmp_path):
+    save_checkpoint(tmp_path, _tensors())
+
+    def repeat(index):
+        index["entries"][2]["name"] = index["entries"][0]["name"]
+        return json.dumps(index)
+
+    _tamper_index(tmp_path, repeat)
+    with pytest.raises(TensorFormatError, match="entry 2 repeats the name 'emb'"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_names_the_entry_whose_record_is_bad(tmp_path):
+    save_checkpoint(tmp_path, _tensors())
+
+    def shift(index):
+        index["entries"][1]["offset"] += 1
+        return json.dumps(index)
+
+    _tamper_index(tmp_path, shift)
+    with pytest.raises(TensorFormatError, match="stage.b: bad magic"):
         load_checkpoint(tmp_path)
 
 
