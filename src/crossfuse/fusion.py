@@ -136,9 +136,8 @@ class StageParams:
 class StageResult:
     rgb: Tensor
     thermal: Tensor
-    # Final-layer token outputs per head, carry position included when one
-    # was prepended; the last row is the next carry token.
-    head_tokens: list[Tensor] = field(default_factory=list)
+    # The next carry token per head: the last row of its final-layer tokens.
+    carries: list[Tensor] = field(default_factory=list)
 
 
 def init_stage(config: StageConfig, rng: np.random.Generator) -> StageParams:
@@ -209,7 +208,8 @@ def stage_forward(
     """Run one fusion stage on a feature pair.
 
     ``carries`` is either None or one (1, head_dim) token per head, which is
-    prepended to that head's tokens.
+    prepended to that head's tokens. The result's ``carries`` are each head's
+    last output token, the tokens to pass for the next frame.
     """
     cfg = params.config
     expect = (cfg.height, cfg.width, cfg.channels)
@@ -224,7 +224,7 @@ def stage_forward(
         )
     e_rgb, e_thm = add_embeddings(rgb, thermal, params.embeddings)
 
-    up_rgb, up_thm, head_tokens = [], [], []
+    up_rgb, up_thm, next_carries = [], [], []
     for k, head in enumerate(params.heads):
         s = head.patch_size
         layout = build_layout(cfg.height // s, cfg.width // s, s)
@@ -239,7 +239,7 @@ def stage_forward(
                 )
             x = T.concat([carry, x], axis=0)
         tokens = stack_forward(head.blocks, x)
-        head_tokens.append(tokens)
+        next_carries.append(T.narrow(tokens, 0, tokens.shape[0] - 1, 1))
         feats = T.narrow(tokens, 0, 1, layout.tokens) if carries is not None else tokens
         y = T.linear(feats, head.out_w, head.out_b)
         r_delta, t_delta = ocf_unflatten(y, layout)
@@ -250,4 +250,4 @@ def stage_forward(
     cat_thm = up_thm[0] if len(up_thm) == 1 else T.concat(up_thm, axis=2)
     out_rgb = T.add(rgb, T.linear(cat_rgb, params.agg_w, params.agg_b))
     out_thm = T.add(thermal, T.linear(cat_thm, params.agg_w, params.agg_b))
-    return StageResult(rgb=out_rgb, thermal=out_thm, head_tokens=head_tokens)
+    return StageResult(rgb=out_rgb, thermal=out_thm, carries=next_carries)

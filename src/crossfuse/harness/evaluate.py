@@ -75,6 +75,10 @@ def load_detector(checkpoint_dir, cfg: Optional[dict] = None) -> tuple[Detection
     if meta.get("kind") != "detection_checkpoint":
         raise ValueError(f"{checkpoint_dir} is not a detection checkpoint "
                          f"(kind={meta.get('kind')!r})")
+    for key, kind in (("config", dict), ("config_hash", str)):
+        if not isinstance(meta.get(key), kind):
+            raise ValueError(f"{checkpoint_dir}: detection checkpoint key {key!r} must be a {kind.__name__}, "
+                             f"got {meta.get(key)!r:.100}")
     stored_cfg = meta["config"]
     if cfg is not None:
         want, got = config_model_hash(cfg), meta["config_hash"]

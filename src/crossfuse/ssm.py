@@ -13,13 +13,14 @@ so it stays strictly negative, and delta goes through a softplus so it
 stays strictly positive; together these keep |A_bar| < 1 and the recurrence
 stable regardless of parameter values.
 
-The whole sequence runs as one registered op, ``ssm_scan``: the B and delta
+The whole sequence runs as one kernel, ``_scan_fwd``: the B and delta
 projections, the softplus, A = -exp(a_log), the recurrence and the readout
-y = sum_n w_out * h in one tape node. Its forward runs the kernels of the
-chain of core ops it replaces and its adjoint runs their adjoints in reverse
-tape order, so results equal that chain's bit for bit, with one dispatch
-instead of twelve. ``scan_step`` advances one token at a time for streaming
-inference by running the same kernel on a one-token sequence.
+y = sum_n w_out * h in one call. It runs the kernels of the chain of core ops
+it replaces, and its adjoint ``_scan_bwd`` runs their adjoints in reverse tape
+order, so results equal that chain's bit for bit. Only ``mamba_block``
+differentiates the scan. ``scan_sequence`` and ``scan_step`` (the same kernel
+on a one-token sequence, for streaming inference) are plain forward calls of
+it that record nothing, so they refuse to run while a ``Graph`` records.
 
 A gated residual block is likewise one op, ``mamba_block``: layer norm, the
 in-projection, the causal conv, silu, the scan, the silu gate and the
@@ -36,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor, register_op
+from .tensor import GraphError, ShapeError, Tensor, register_op
 
 __all__ = [
     "SSMParams",
@@ -51,7 +52,6 @@ __all__ = [
     "default_dt_rank",
 ]
 
-SCAN_OP = "ssm_scan"
 BLOCK_OP = "mamba_block"
 
 
@@ -150,7 +150,6 @@ def _recurrence_bwd(ctx, g):
     for t in range(length - 1, -1, -1):
         acc = np.add(acc, g[t], out=g_dbx[t])
         acc = d_a[t] * acc
-    g_state0 = acc
     g_da = np.empty_like(d_a)                              # g_dbx times the previous state
     np.multiply(g_dbx[0], state0, out=g_da[0])
     np.multiply(g_dbx[1:], h_all[:-1], out=g_da[1:])
@@ -160,24 +159,19 @@ def _recurrence_bwd(ctx, g):
     g_x = g_dbx_b * delta
     g_b = (g_dbx * (delta * x)[:, :, None]).sum(axis=1)
     g_a = (g_da_da * delta[:, :, None]).sum(axis=0)
-    return g_x, g_delta, g_b, g_a, g_state0
+    return g_x, g_delta, g_b, g_a
 
 
-def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None, final_state=False):
-    """The whole selective scan of ``scan_sequence`` as one op.
+def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
+    """The whole selective scan as one kernel, y (L, C) from tokens x (L, C).
 
     Runs the same kernels, in the same order, as the chain of core ops it
     replaces (projections, softplus, A = -exp(a_log), recurrence, readout),
-    so the outputs are bit-identical to that chain. Returns y (L, C), or
-    with ``final_state`` y stacked over the transposed last state (L + N, C).
+    so the outputs are bit-identical to that chain. The states h (L, C, N)
+    are in the context as ``ctx["scan"]["h_all"]``.
     """
-    length, channels = x.shape
-    n = a_log.shape[1]
-    has_state0 = state0 is not None
-    if not has_state0:
-        state0 = np.zeros((channels, n), dtype=x.dtype)
-    elif state0.shape != (channels, n):
-        raise ShapeError(f"ssm_scan: initial state shape {state0.shape} != {(channels, n)}")
+    if state0 is None:
+        state0 = np.zeros((x.shape[1], a_log.shape[1]), dtype=x.dtype)
     b_seq, c_b = T._linear_fwd(x, w_b)                  # (L, N)
     low, c_low = T._linear_fwd(x, dt_down)              # (L, R)
     up, c_up = T._linear_fwd(low, dt_up)                # (L, C)
@@ -187,35 +181,35 @@ def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None, final_
     h_all, c_scan = _recurrence_fwd(x, delta, b_seq, -e_a, state0)
     prod, c_prod = T._mul_fwd(h_all, w_out)
     y, c_y = T._sum_fwd(prod, axis=-1)                  # (L, C)
-    if final_state:
-        y = np.concatenate([y, h_all[-1].T])
     ctx = {"b": c_b, "low": c_low, "up": c_up, "pre": c_pre, "delta": c_delta, "ea": c_ea,
-           "scan": c_scan, "prod": c_prod, "y": c_y, "length": length, "has_state0": has_state0}
+           "scan": c_scan, "prod": c_prod, "y": c_y}
     return y, ctx
 
 
 def _scan_bwd(ctx, g):
     """Adjoints of the replaced chain, run in its reverse tape order."""
-    length = ctx["length"]
-    g_prod, = T._sum_bwd(ctx["y"], g[:length])
+    g_prod, = T._sum_bwd(ctx["y"], g)
     g_h_all, g_w_out = T._mul_bwd(ctx["prod"], g_prod)
-    if g.shape[0] > length:  # the final state's rows
-        g_h_all[-1] += g[length:].T
-    g_x, g_delta, g_b, g_a, g_state0 = _recurrence_bwd(ctx["scan"], g_h_all)
+    g_x, g_delta, g_b, g_a = _recurrence_bwd(ctx["scan"], g_h_all)
     g_a_log, = T._exp_bwd(ctx["ea"], -g_a)
     g_pre, = T._softplus_bwd(ctx["delta"], g_delta)
     g_up, g_dt_bias = T._add_bwd(ctx["pre"], g_pre)
     g_low, g_dt_up = T._linear_bwd(ctx["up"], g_up)
     g_x_delta, g_dt_down = T._linear_bwd(ctx["low"], g_low)
     g_x_b, g_w_b = T._linear_bwd(ctx["b"], g_b)
-    grads = ((g_x + g_x_delta) + g_x_b, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out)
-    return grads + (g_state0,) if ctx["has_state0"] else grads
+    return (g_x + g_x_delta) + g_x_b, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out
 
 
-register_op(SCAN_OP, _scan_fwd, _scan_bwd)
+def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] = None) -> tuple[Tensor, SSMState]:
+    """Run the selective scan over a whole token sequence.
 
-
-def _scan(params: SSMParams, tokens: Tensor, state0: Optional[SSMState], final_state: bool) -> Tensor:
+    Returns per-token outputs (L, C) and the final hidden state. Identical
+    (to float32 roundoff) to folding ``scan_step`` over the sequence. The
+    scan runs unrecorded, so calling it while a ``Graph`` records raises
+    ``GraphError`` rather than leaving the graph without its gradients.
+    """
+    if T._tls.stack:
+        raise GraphError("scan_sequence: the scan is never recorded; call it outside a Graph")
     if tokens.ndim != 2:
         raise ShapeError(f"scan_sequence: tokens must be rank-2, got shape {tokens.shape}")
     length, channels = tokens.shape
@@ -223,30 +217,18 @@ def _scan(params: SSMParams, tokens: Tensor, state0: Optional[SSMState], final_s
         raise ShapeError("scan_sequence: empty sequence")
     if channels != params.channels:
         raise ShapeError(f"scan_sequence: tokens have {channels} channels, params expect {params.channels}")
-    inputs = (tokens, params.w_b, params.dt_down, params.dt_up, params.dt_bias, params.a_log, params.w_out)
-    if state0 is not None:
-        if state0.h.shape != (channels, params.state_size):
-            raise ShapeError(f"scan_sequence: state shape {state0.h.shape} != {(channels, params.state_size)}")
-        inputs += (state0.h,)
-    return T.op_forward(SCAN_OP, inputs, final_state=final_state)
-
-
-def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] = None) -> tuple[Tensor, SSMState]:
-    """Run the selective scan over a whole token sequence.
-
-    Returns per-token outputs (L, C) and the final hidden state. Identical
-    (to float32 roundoff) to folding ``scan_step`` over the sequence.
-    """
-    out = _scan(params, tokens, state0, final_state=True)
-    length = tokens.shape[0]
-    y = T.narrow(out, 0, 0, length)
-    last = T.transpose(T.narrow(out, 0, length, params.state_size), (1, 0))
-    return y, SSMState(last)
+    if state0 is not None and state0.h.shape != (channels, params.state_size):
+        raise ShapeError(f"scan_sequence: state shape {state0.h.shape} != {(channels, params.state_size)}")
+    y, ctx = _scan_fwd(tokens.data, params.w_b.data, params.dt_down.data, params.dt_up.data,
+                       params.dt_bias.data, params.a_log.data, params.w_out.data,
+                       state0=None if state0 is None else state0.h.data)
+    # A copy, so the state does not keep the whole (L, C, N) h_all alive.
+    return Tensor(y), SSMState(Tensor(ctx["scan"]["h_all"][-1].copy()))
 
 
 def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, SSMState]:
-    """Advance the scan by a single token: the sequence kernel on a one-token
-    sequence, called directly, so it is never recorded.
+    """Advance the scan by a single token: ``scan_sequence`` on a one-token
+    sequence.
 
     Args:
         x_t:   (C,) one token.
@@ -257,14 +239,8 @@ def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, 
     """
     if x_t.shape != (params.channels,):
         raise ShapeError(f"scan_step: token shape {x_t.shape} != ({params.channels},)")
-    if state.h.shape != (params.channels, params.state_size):
-        raise ShapeError(
-            f"scan_step: state shape {state.h.shape} != {(params.channels, params.state_size)}"
-        )
-    out, _ = _scan_fwd(x_t.data[None], params.w_b.data, params.dt_down.data, params.dt_up.data,
-                       params.dt_bias.data, params.a_log.data, params.w_out.data,
-                       state0=state.h.data, final_state=True)
-    return Tensor(out[0]), SSMState(Tensor(out[1:].T))
+    y, new_state = scan_sequence(params, Tensor(x_t.data[None]), state)
+    return Tensor(y.data[0]), new_state
 
 
 # ---------------------------------------------------------------------------

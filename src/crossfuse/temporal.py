@@ -19,7 +19,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import tensor as T
 from .fusion import StageConfig, StageParams, StageResult, init_stage, stage_forward
 from .tensor import ShapeError, Tensor
 from .tensorio import load_checkpoint, save_checkpoint
@@ -208,11 +207,7 @@ def fuse_next(
         pair = pyramid[name]
         result: StageResult = stage_forward(stage, pair.rgb, pair.thermal, carries=state.carries[name])
         fused[name] = FeaturePair(stage=name, rgb=result.rgb, thermal=result.thermal)
-        carries = []
-        for tokens in result.head_tokens:
-            last = T.narrow(tokens, 0, tokens.shape[0] - 1, 1)  # (1, head_dim)
-            carries.append(last)
-        new_carries[name] = carries
+        new_carries[name] = result.carries
     new_state = StreamState(carries=new_carries, frame_index=state.frame_index + 1, model_hash=state.model_hash)
     return fused, new_state
 
@@ -251,11 +246,17 @@ def load_stream_state(dirpath) -> StreamState:
     tensors, meta = load_checkpoint(dirpath)
     if meta.get("kind") != "stream_state":
         raise ValueError(f"{dirpath} does not hold a stream state")
-    missing = sorted(key for keys in meta["carry_names"].values() for key in keys if key not in tensors)
+    names = meta.get("carry_names")
+    if not (isinstance(names, dict) and all(isinstance(keys, list) and all(isinstance(k, str) for k in keys)
+                                            for keys in names.values())):
+        raise ValueError(f"{dirpath}: stream state key 'carry_names' must map each stage to a list of "
+                         f"tensor names, got {names!r:.100}")
+    for key, kind in (("frame_index", int), ("model_hash", str)):
+        if not isinstance(meta.get(key), kind):
+            raise ValueError(f"{dirpath}: stream state key {key!r} must be a {kind.__name__}, "
+                             f"got {meta.get(key)!r:.100}")
+    missing = sorted(key for keys in names.values() for key in keys if key not in tensors)
     if missing:
         raise ValueError(f"stream state lists carry tensors the checkpoint does not hold: {missing[:5]}")
-    carries = {
-        stage: [tensors[key] for key in keys]
-        for stage, keys in meta["carry_names"].items()
-    }
+    carries = {stage: [tensors[key] for key in keys] for stage, keys in names.items()}
     return StreamState(carries=carries, frame_index=meta["frame_index"], model_hash=meta["model_hash"])

@@ -2,12 +2,12 @@
 
 The registry holds the kinds the program records: suffix-broadcast add, a
 linear map ``x @ w`` with an optional bias, silu and the shape ops (concat,
-slice, transpose). Domain modules register their fused ops (``take_rows``,
-``ssm_scan``, ``mamba_block``, ``detection_loss``) through ``register_op``.
-The kernels those fused ops are built from (layer norm, causal depthwise
-convolution, softplus, exp, mul, sum/mean reductions) live here as plain
-forward/adjoint pairs; the test suite registers them as op kinds of its own
-to check the fused ops against.
+slice). Domain modules register their fused ops (``take_rows``,
+``mamba_block``, ``detection_loss``) through ``register_op``. The kernels
+those fused ops are built from (layer norm, causal depthwise convolution,
+softplus, exp, mul, sum/mean reductions) live here as plain forward/adjoint
+pairs; the test suite registers them as op kinds of its own to check the
+fused ops against.
 
 Values are immutable: every op returns a fresh ``Tensor`` and the backing
 numpy buffers are marked read-only. Recording is explicit; ops executed
@@ -40,7 +40,6 @@ __all__ = [
     "silu",
     "concat",
     "narrow",
-    "transpose",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -527,18 +526,6 @@ def _slice_bwd(ctx, g):
     return (out,)
 
 
-def _transpose_fwd(x, axes=()):
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: axes {axes} are not a permutation of rank {x.ndim}")
-    return np.ascontiguousarray(x.transpose(axes)), {"axes": axes}
-
-
-def _transpose_bwd(ctx, g):
-    inverse = np.argsort(ctx["axes"])
-    return (np.ascontiguousarray(g.transpose(tuple(inverse))),)
-
-
 def _normalize_axis(x, axis):
     if axis is None:
         return tuple(range(x.ndim))
@@ -580,7 +567,6 @@ register_op("linear", _linear_fwd, _linear_bwd)
 register_op("silu", _silu_fwd, _silu_bwd)
 register_op("concat", _concat_fwd, _concat_bwd)
 register_op("slice", _slice_fwd, _slice_bwd)
-register_op("transpose", _transpose_fwd, _transpose_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +592,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return op_forward("slice", (x,), axis=axis, start=start, length=length)
-
-
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    return op_forward("transpose", (x,), axes=tuple(axes))

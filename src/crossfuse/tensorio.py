@@ -136,6 +136,9 @@ def load_checkpoint(dirpath) -> tuple[dict[str, Tensor], dict]:
     entries = index.get("entries")
     if not isinstance(entries, list):
         raise TensorFormatError(f"{index_path}: entries must be a list, got {type(entries).__name__}")
+    metadata = index.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise TensorFormatError(f"{index_path}: metadata must be an object, got {type(metadata).__name__}")
     tensors: dict[str, Tensor] = {}
     with open(data_path, "rb") as fp:
         for i, entry in enumerate(entries):
@@ -157,4 +160,4 @@ def load_checkpoint(dirpath) -> tuple[dict[str, Tensor], dict]:
                     f"{name}: stored shape {list(t.shape)} != index shape {entry['shape']}"
                 )
             tensors[name] = t
-    return tensors, index.get("metadata", {})
+    return tensors, metadata

@@ -8,7 +8,9 @@ against it bit for bit.
 The program records none of the chains' elementwise, normalisation and
 reduction ops, so the engine's registry does not hold them. This module
 registers them on import, over the engine's kernels, with their wrappers.
-It also registers ``reshape``, which only the tests' own chains record.
+It also registers ``ssm_scan`` over the scan kernel ``mamba_block`` runs, so
+the scan can be recorded and differentiated on its own, and ``reshape`` and
+``transpose``, which only the tests' own chains record.
 Import it under the one name ``composed``: a second import under another name
 would register every kind twice, which ``register_op`` rejects.
 """
@@ -27,7 +29,7 @@ from crossfuse.tensor import Tensor, op_forward, register_op
 
 # What a fresh ``import crossfuse, crossfuse.harness`` registers, sorted.
 PROGRAM_KINDS = ["add", "concat", "detection_loss", "linear", "mamba_block", "silu", "slice",
-                 "ssm_scan", "take_rows", "transpose"]
+                 "take_rows"]
 
 
 def _mean_bwd(ctx, g):
@@ -48,6 +50,18 @@ def _reshape_bwd(ctx, g):
     return (g.reshape(ctx["shape"]),)
 
 
+def _transpose_fwd(x, axes=()):
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise T.ShapeError(f"transpose: axes {axes} are not a permutation of rank {x.ndim}")
+    return np.ascontiguousarray(x.transpose(axes)), {"axes": axes}
+
+
+def _transpose_bwd(ctx, g):
+    inverse = np.argsort(ctx["axes"])
+    return (np.ascontiguousarray(g.transpose(tuple(inverse))),)
+
+
 register_op("mul", T._mul_fwd, T._mul_bwd)
 register_op("conv1d_causal", T._conv1d_fwd, T._conv1d_bwd)
 register_op("layer_norm", T._layer_norm_fwd, T._layer_norm_bwd)
@@ -57,6 +71,8 @@ register_op("reduce_sum", T._sum_fwd, T._sum_bwd)
 register_op("reduce_mean", T._mean_fwd, _mean_bwd)
 register_op("huber", _huber_fwd, _huber_bwd)
 register_op("reshape", _reshape_fwd, _reshape_bwd)
+register_op("transpose", _transpose_fwd, _transpose_bwd)
+register_op("ssm_scan", ssm_mod._scan_fwd, ssm_mod._scan_bwd)
 
 
 def _const_like(t: Tensor, value) -> Tensor:
@@ -111,13 +127,23 @@ def reshape(x: Tensor, shape) -> Tensor:
     return op_forward("reshape", (x,), shape=tuple(shape))
 
 
+def transpose(x: Tensor, axes) -> Tensor:
+    return op_forward("transpose", (x,), axes=tuple(axes))
+
+
+def scan(params: ssm_mod.SSMParams, tokens: Tensor) -> Tensor:
+    """The scan's per-token outputs (L, C) from a zero state, as one taped op."""
+    return op_forward("ssm_scan", (tokens, params.w_b, params.dt_down, params.dt_up, params.dt_bias,
+                                   params.a_log, params.w_out))
+
+
 def composed_block(block: ssm_mod.MambaBlockParams, tokens: Tensor) -> Tensor:
     """``ssm.block_forward`` as ten taped ops."""
     n = layer_norm(tokens, block.norm_gamma, block.norm_beta)
     a = T.linear(n, block.in_w)
     c = conv1d_causal(a, block.conv_k, block.conv_b)
     s = T.silu(c)
-    y = ssm_mod._scan(block.ssm, s, None, final_state=False)
+    y = scan(block.ssm, s)
     g = T.silu(T.linear(n, block.gate_w))
     mixed = mul(y, g)
     out = T.linear(mixed, block.out_w, block.out_b)

@@ -11,11 +11,13 @@ from crossfuse.fusion import (
     StageConfig,
     add_embeddings,
     init_stage,
+    ocf_flatten,
     patch,
     stage_forward,
     unpatch,
 )
 from crossfuse.interleave import build_layout
+from crossfuse.ssm import stack_forward
 from crossfuse.temporal import walk_parameters
 from crossfuse.tensor import Graph, ShapeError, Tensor
 
@@ -192,15 +194,22 @@ def test_stage_is_identity_at_init_even_with_carries():
     np.testing.assert_array_equal(out.thermal.data, thm.data)
 
 
-def test_head_token_shapes_with_and_without_carry():
+def test_carries_are_each_heads_last_token_with_and_without_carry():
     cfg = _cfg()
     params = init_stage(cfg, np.random.default_rng(0))
     rgb, thm = _maps(cfg)
-    plain = stage_forward(params, rgb, thm)
-    assert [t.shape for t in plain.head_tokens] == [(32, 2), (8, 2)]
-    carries = [Tensor(np.zeros((1, 2), np.float32)) for _ in range(2)]
-    carried = stage_forward(params, rgb, thm, carries=carries)
-    assert [t.shape for t in carried.head_tokens] == [(33, 2), (9, 2)]
+    e_rgb, e_thm = add_embeddings(rgb, thm, params.embeddings)
+    carries = [Tensor(np.random.default_rng(k).normal(size=(1, 2)).astype(np.float32)) for k in range(2)]
+    for given in (None, carries):
+        result = stage_forward(params, rgb, thm, carries=given)
+        for k, head in enumerate(params.heads):
+            s = head.patch_size
+            x = T.linear(ocf_flatten(e_rgb, e_thm, build_layout(cfg.height // s, cfg.width // s, s)), head.w_in)
+            if given is not None:
+                x = T.concat([given[k], x], axis=0)
+            tokens = stack_forward(head.blocks, x)
+            assert tokens.shape == ((32, 8)[k] + (given is not None), 2)
+            np.testing.assert_array_equal(result.carries[k].data, tokens.data[-1:])
 
 
 def test_heads_process_independently():
@@ -214,8 +223,8 @@ def test_heads_process_independently():
         name=params.heads[1].w_in.name, trainable=True,
     )
     after = stage_forward(params, rgb, thm)
-    np.testing.assert_array_equal(before.head_tokens[0].data, after.head_tokens[0].data)
-    assert not np.array_equal(before.head_tokens[1].data, after.head_tokens[1].data)
+    np.testing.assert_array_equal(before.carries[0].data, after.carries[0].data)
+    assert not np.array_equal(before.carries[1].data, after.carries[1].data)
 
 
 def test_carry_reaches_output_once_mixing_is_nonzero():

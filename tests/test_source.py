@@ -35,3 +35,29 @@ def test_no_module_has_an_unused_top_level_import():
     assert len(modules) >= 15
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _unbound_exports(path: Path) -> list[str]:
+    """Names in a module's ``__all__`` that no top-level statement binds."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            bound |= names
+    where = path.relative_to(PACKAGE.parent)
+    return [f"{where}: {name}" for name in exported if name not in bound]
+
+
+def test_every_name_in_all_is_bound_by_its_module():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert sum("__all__" in path.read_text() for path in modules) >= 10
+    assert [hit for path in modules for hit in _unbound_exports(path)] == []

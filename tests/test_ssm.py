@@ -2,7 +2,10 @@
 
 The scan is checked three independent ways: hand-derived impulse values,
 a float64 reference recurrence written here from the update equations, and
-token-at-a-time folding with ``scan_step``.
+token-at-a-time folding with ``scan_step``. Its kernel and adjoint are also
+checked bit for bit against the chain of core ops they replace, through the
+``ssm_scan`` kind that ``composed`` registers: ``scan_sequence`` and
+``scan_step`` run unrecorded and have no gradients of their own.
 """
 
 import math
@@ -28,7 +31,7 @@ from crossfuse.ssm import (
     stack_forward,
 )
 from crossfuse.temporal import swap_parameters, walk_parameters
-from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check
+from crossfuse.tensor import Graph, GraphError, ShapeError, Tensor, backward, grad_check
 
 LN2 = math.log(2.0)
 
@@ -247,29 +250,6 @@ def test_scan_is_stable_over_long_sequences():
     assert np.all(np.isfinite(last.h.data))
 
 
-def test_scan_gradients_match_finite_differences():
-    rng = np.random.default_rng(11)
-    channels, state, rank, length = 3, 2, 1, 5
-    base = _random_params(rng, channels, state, rank)
-    tokens = Tensor(rng.normal(0, 0.8, (length, channels)).astype(np.float32))
-    params = {t.name: t for _, _, t in walk_parameters(base)}
-    params["s.h0"] = T.parameter(rng.normal(0, 0.5, (channels, state)).astype(np.float32), "s.h0")
-
-    def f(p):
-        sp = SSMParams(
-            a_log=p["s.A_log"], w_b=p["s.w_b"], dt_down=p["s.dt_down"],
-            dt_up=p["s.dt_up"], dt_bias=p["s.dt_bias"], w_out=p["s.w_out"],
-        )
-        x = Tensor(tokens.data.astype(p["s.A_log"].dtype))
-        y, final = scan_sequence(sp, x, state0=SSMState(p["s.h0"]))
-        return T.add(C.reduce_sum(C.mul(y, y)), C.reduce_sum(final.h))
-
-    report = grad_check(f, params)
-    assert report.max_rel_error < 1e-3, (
-        f"worst {report.worst_param}[{report.worst_index}] = {report.max_rel_error:.3e}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scan interface errors
 # ---------------------------------------------------------------------------
@@ -298,6 +278,19 @@ def test_scan_step_shape_errors():
         scan_step(params, Tensor(np.zeros(2, np.float32)), good)
     with pytest.raises(ShapeError, match="state"):
         scan_step(params, Tensor(np.zeros(1, np.float32)), SSMState.zeros(1, 3))
+
+
+def test_scan_refuses_to_run_while_a_graph_records():
+    params = _params_from_arrays(
+        a_log=[[0.0]], w_b=[[1.0]], dt_down=[[0.0]], dt_up=[[0.0]],
+        dt_bias=[0.0], w_out=[[1.0]],
+    )
+    with Graph() as g:
+        with pytest.raises(GraphError, match="outside a Graph"):
+            scan_sequence(params, Tensor(np.ones((3, 1), np.float32)))
+        with pytest.raises(GraphError, match="outside a Graph"):
+            scan_step(params, Tensor(np.ones(1, np.float32)), SSMState.zeros(1, 1))
+    assert len(g) == 0
 
 
 def test_ssm_params_shape_validation():
@@ -458,8 +451,8 @@ def _stepwise_recurrence_bwd(ctx, g):
     return g_x, g_delta, g_b, g_a, acc
 
 
-# The recurrence alone as a taped op, so the oracle below records the same
-# twelve-node chain that scan_sequence recorded before the scan was fused.
+# The recurrence alone as a taped op, so the oracle below records the
+# twelve-node chain that the scan kernel replaces.
 T.register_op("test_recurrence", ssm_mod._recurrence_fwd, _stepwise_recurrence_bwd)
 
 
@@ -495,20 +488,23 @@ def test_fused_scan_equals_composed_chain_bit_for_bit(channels, state, rank, len
     rng = np.random.default_rng(seed)
     params = _random_params(rng, channels, state, rank)
     tokens = T.parameter(rng.normal(0, 1.0, (length, channels)).astype(np.float32), "s.x")
-    h0 = T.parameter(rng.normal(0, 0.5, (channels, state)).astype(np.float32), "s.h0")
+    h0 = SSMState(Tensor(rng.normal(0, 0.5, (channels, state)).astype(np.float32))) if carry else None
     w_y = Tensor(rng.normal(size=(length, channels)).astype(np.float32))
-    w_h = Tensor(rng.normal(size=(channels, state)).astype(np.float32))
+
+    y, last = scan_sequence(params, tokens, h0)
+    y_ref, last_ref = _composed_scan(params, tokens, h0)
+    _assert_same_bits(y.data, y_ref.data, "y")
+    _assert_same_bits(last.h.data, last_ref.h.data, "final state")
 
     def run(scan):
         with Graph() as g:
-            y, last = scan(params, tokens, SSMState(h0) if carry else None)
-            loss = T.add(C.reduce_sum(C.mul(y, w_y)), C.reduce_sum(C.mul(last.h, w_h)))
-        return y, last, backward(g, loss, [t for _, _, t in walk_parameters(params)] + [tokens, h0])
+            y = scan(params, tokens)
+            loss = C.reduce_sum(C.mul(y, w_y))
+        return y, backward(g, loss, [t for _, _, t in walk_parameters(params)] + [tokens])
 
-    y, last, grads = run(scan_sequence)
-    y_ref, last_ref, grads_ref = run(_composed_scan)
-    _assert_same_bits(y.data, y_ref.data, "y")
-    _assert_same_bits(last.h.data, last_ref.h.data, "final state")
+    y, grads = run(C.scan)
+    y_ref, grads_ref = run(lambda p, x: _composed_scan(p, x)[0])
+    _assert_same_bits(y.data, y_ref.data, "taped y")
     assert sorted(grads) == sorted(grads_ref)
     for name in grads:
         _assert_same_bits(grads[name].data, grads_ref[name].data, name)
@@ -519,7 +515,7 @@ def test_block_scan_is_one_op_and_matches_the_sequence_scan():
     params = _random_params(rng, 4, 3, 1)
     tokens = Tensor(rng.normal(size=(6, 4)).astype(np.float32))
     with Graph() as g:
-        y = ssm_mod._scan(params, tokens, None, final_state=False)
+        y = C.scan(params, tokens)
     assert [n.kind for n in g.nodes] == ["ssm_scan"]
     y_seq, _ = scan_sequence(params, tokens)
     _assert_same_bits(y.data, y_seq.data, "y")
@@ -537,7 +533,7 @@ def test_fused_scan_gradients_without_state_match_finite_differences():
             a_log=p["s.A_log"], w_b=p["s.w_b"], dt_down=p["s.dt_down"],
             dt_up=p["s.dt_up"], dt_bias=p["s.dt_bias"], w_out=p["s.w_out"],
         )
-        y = ssm_mod._scan(sp, p["s.x"], None, final_state=False)
+        y = C.scan(sp, p["s.x"])
         return C.reduce_sum(C.mul(y, y))
 
     report = grad_check(f, params)

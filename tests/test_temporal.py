@@ -264,6 +264,18 @@ def test_load_stream_state_names_carry_tensors_missing_from_the_checkpoint(tmp_p
         load_stream_state(tmp_path / "state")
 
 
+@pytest.mark.parametrize("edit", [lambda meta: meta.pop("carry_names"),
+                                  lambda meta: meta.update(carry_names=5)], ids=["missing", "int"])
+def test_load_stream_state_names_bad_carry_names(tmp_path, edit):
+    save_stream_state(tmp_path / "state", init_stream(build_model(_configs(), seed=0)))
+    index_path = tmp_path / "state" / INDEX_NAME
+    index = json.loads(index_path.read_text())
+    edit(index["metadata"])
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(ValueError, match="key 'carry_names' must map each stage"):
+        load_stream_state(tmp_path / "state")
+
+
 def test_fuse_next_rejects_incomplete_pyramid():
     configs = _configs()
     model = build_model(configs, seed=0)

@@ -141,7 +141,7 @@ def test_concat_and_narrow_golden():
 def test_reshape_transpose_golden():
     x = t32([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     np.testing.assert_array_equal(C.reshape(x, (3, 2)).data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_array_equal(T.transpose(x, (1, 0)).data, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+    np.testing.assert_array_equal(C.transpose(x, (1, 0)).data, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
 
 
 def test_reductions_golden():
@@ -191,7 +191,7 @@ def test_narrow_rejects_out_of_range_window():
 
 def test_transpose_rejects_bad_permutation():
     with pytest.raises(ShapeError, match="permutation"):
-        T.transpose(t32([[1.0]]), (0, 0))
+        C.transpose(t32([[1.0]]), (0, 0))
 
 
 def test_concat_rejects_off_axis_mismatch():
@@ -388,7 +388,7 @@ def test_grad_concat_narrow_reshape_transpose():
     def f(p):
         cat = T.concat([p["a"], p["b"]], axis=0)           # (4, 3)
         cut = T.narrow(cat, 0, 1, 2)                       # (2, 3)
-        flip = T.transpose(C.reshape(cut, (3, 2)), (1, 0)) # (2, 3)
+        flip = C.transpose(C.reshape(cut, (3, 2)), (1, 0)) # (2, 3)
         return C.reduce_sum(C.mul(flip, flip))
 
     _assert_grads_ok(f, params)

@@ -196,6 +196,13 @@ def test_checkpoint_rejects_entries_that_are_not_a_list(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def test_checkpoint_rejects_metadata_that_is_not_an_object(tmp_path):
+    save_checkpoint(tmp_path, _tensors())
+    _tamper_index(tmp_path, lambda index: json.dumps(dict(index, metadata=5)))
+    with pytest.raises(TensorFormatError, match="metadata must be an object, got int"):
+        load_checkpoint(tmp_path)
+
+
 def test_checkpoint_names_an_entry_without_offset(tmp_path):
     save_checkpoint(tmp_path, _tensors())
 
