@@ -71,7 +71,6 @@ from .metrics import (
 )
 from .profiler import (
     ProfileReport,
-    bench_latency,
     count_flops,
     count_params,
     full_scale_configs,
@@ -138,7 +137,6 @@ __all__ = [
     "ProfileReport",
     "count_params",
     "count_flops",
-    "bench_latency",
     "profile",
     "full_scale_configs",
     "default_config",

@@ -3,7 +3,7 @@
     crossfuse gen       --config cfg.json --out data/
     crossfuse train     --config cfg.json --data data/ --out runs/exp0
     crossfuse eval      --checkpoint runs/exp0 --data data/ [--reset-every 1]
-    crossfuse profile   [--config cfg.json | --full-scale] [--latency]
+    crossfuse profile   [--config cfg.json | --full-scale]
 
 Every subcommand reports JSON (optionally to a file via --json) plus a
 human-readable summary on stdout.
@@ -93,13 +93,7 @@ def cmd_profile(args) -> int:
         configs, reference = full_scale_configs(), dict(REFERENCE_FULL_SCALE)
     else:
         configs, reference = stage_configs_from(_load_cfg(args.config)), None
-    report = profile(
-        configs,
-        with_latency=args.latency,
-        reps=args.reps,
-        warmup=args.warmup,
-        reference=reference,
-    )
+    report = profile(configs, reference=reference)
     if args.json:
         _emit(report.to_dict(), args.json)
     print(render_table(report))
@@ -138,13 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--json", help="write the report to this path")
     e.set_defaults(fn=cmd_eval)
 
-    pr = sub.add_parser("profile", help="parameter / FLOP / latency table per stage")
+    pr = sub.add_parser("profile", help="parameter / FLOP table per stage")
     pr.add_argument("--config", help="config JSON (desk-scale geometry)")
     pr.add_argument("--full-scale", action="store_true",
                     help="profile the built-in full-scale geometry instead")
-    pr.add_argument("--latency", action="store_true", help="also measure wall-clock latency")
-    pr.add_argument("--reps", type=int, default=20)
-    pr.add_argument("--warmup", type=int, default=3)
     pr.add_argument("--json", help="write the JSON report to this path")
     pr.set_defaults(fn=cmd_profile)
 

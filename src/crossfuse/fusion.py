@@ -118,10 +118,6 @@ class StageConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StageConfig":
-        return cls(**{**d, "patch_sizes": tuple(d["patch_sizes"])})
-
 
 @dataclass
 class StageParams:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..config import STAGE_NAMES, STAGE_STRIDES, config_model_hash
+from ..config import STAGE_NAMES, STAGE_STRIDES, config_model_hash, normalize_config
 from ..metrics import (
     SETTING_ALL,
     SETTING_REASONABLE,
@@ -68,8 +68,9 @@ def decode_frame(preds: dict[str, Tensor], cfg: dict, confidence_floor: float) -
 def load_detector(checkpoint_dir, cfg: Optional[dict] = None) -> tuple[DetectionModel, dict]:
     """Rebuild a model from a training checkpoint.
 
-    When ``cfg`` is given it must hash to the same model geometry the
-    checkpoint was trained with; passing None trusts the stored config.
+    The stored config must pass ``normalize_config`` and hash to the stored
+    ``config_hash``. When ``cfg`` is given it must hash to the same model
+    geometry and is used in place of the stored config.
     """
     tensors, meta = load_checkpoint(checkpoint_dir)
     if meta.get("kind") != "detection_checkpoint":
@@ -79,7 +80,14 @@ def load_detector(checkpoint_dir, cfg: Optional[dict] = None) -> tuple[Detection
         if not isinstance(meta.get(key), kind):
             raise ValueError(f"{checkpoint_dir}: detection checkpoint key {key!r} must be a {kind.__name__}, "
                              f"got {meta.get(key)!r:.100}")
-    stored_cfg = meta["config"]
+    try:
+        stored_cfg = normalize_config(meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{checkpoint_dir}: detection checkpoint key 'config' is not a valid config: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    if config_model_hash(stored_cfg) != meta["config_hash"]:
+        raise ValueError(f"{checkpoint_dir}: detection checkpoint key 'config' does not hash to its "
+                         "'config_hash'; the stored config changed after training")
     if cfg is not None:
         want, got = config_model_hash(cfg), meta["config_hash"]
         if want != got:

@@ -78,13 +78,8 @@ def build_targets(
     return obj, box, mask
 
 
-def _times(x, value):
-    """x times a python scalar taken at x's dtype, as the composed chain's scale does."""
-    return x * np.asarray(value, dtype=x.dtype)
-
-
 def _map_loss_fwd(p, obj_t, box_t, mask, box_weight, beta):
-    """One prediction map's loss terms: the kernels of its composed chain in order.
+    """One prediction map's loss terms, in the order its composed chain added them.
 
     The objectness term is mean(softplus(obj) - obj_t * obj); with n_pos
     boxes the box term is box_weight / n_pos times the masked huber sums of
@@ -93,16 +88,16 @@ def _map_loss_fwd(p, obj_t, box_t, mask, box_weight, beta):
     """
     txy, twh, obj = (np.ascontiguousarray(p[:, :, a:b]) for a, b in ((0, 2), (2, 4), (4, 5)))
     sp_obj, _ = T._softplus_fwd(obj)
-    obj_loss, _ = T._mean_fwd(sp_obj + _times(obj_t * obj, -1.0))
+    obj_loss = (sp_obj - obj_t * obj).mean()
     n_pos = float(mask.sum())
     ctx = {"shape": p.shape, "obj": obj, "obj_t": obj_t, "n": obj.size, "n_pos": n_pos}
     if n_pos == 0:
         return [obj_loss], ctx
-    sig = np.exp(txy + _times(T._softplus_fwd(txy)[0], -1.0))
-    h_xy, ctx["h_xy"] = _huber_fwd(sig + -box_t[:, :, 0:2], beta)
-    h_wh, ctx["h_wh"] = _huber_fwd(twh + -box_t[:, :, 2:4], beta)
+    sig = np.exp(txy - T._softplus_fwd(txy)[0])
+    h_xy, ctx["h_xy"] = _huber_fwd(sig - box_t[:, :, 0:2], beta)
+    h_wh, ctx["h_wh"] = _huber_fwd(twh - box_t[:, :, 2:4], beta)
     mask2 = np.repeat(mask, 2, axis=2)
-    box_sum = T._sum_fwd(h_xy * mask2)[0] + T._sum_fwd(h_wh * mask2)[0]
+    box_sum = (h_xy * mask2).sum() + (h_wh * mask2).sum()
     ctx.update(txy=txy, sig=sig, mask2=mask2, scale=np.asarray(box_weight / n_pos, dtype=box_sum.dtype))
     return [obj_loss, box_sum * ctx["scale"]], ctx
 
@@ -110,7 +105,7 @@ def _map_loss_fwd(p, obj_t, box_t, mask, box_weight, beta):
 def _map_loss_bwd(ctx, g):
     """Gradient of one map, from the gradient g of each of its terms."""
     g_s = g / ctx["n"]                                   # the mean's adjoint, one value
-    g_obj = _times(g_s, -1.0) * ctx["obj_t"] + g_s * T._sigmoid_np(ctx["obj"])
+    g_obj = -g_s * ctx["obj_t"] + g_s * T._sigmoid_np(ctx["obj"])
     g_p = np.zeros(ctx["shape"], dtype=g_obj.dtype)
     g_p[:, :, 4:5] = g_obj
     if ctx["n_pos"] == 0:
@@ -118,7 +113,7 @@ def _map_loss_bwd(ctx, g):
     g_masked = (g * ctx["scale"]) * ctx["mask2"]         # both huber sums' adjoint
     g_p[:, :, 2:4], = _huber_bwd(ctx["h_wh"], g_masked)
     g_z = _huber_bwd(ctx["h_xy"], g_masked)[0] * ctx["sig"]
-    g_p[:, :, 0:2] = g_z + _times(g_z, -1.0) * T._sigmoid_np(ctx["txy"])
+    g_p[:, :, 0:2] = g_z - g_z * T._sigmoid_np(ctx["txy"])
     # The chain summed three zero-padded slice gradients, which turns every
     # -0.0 into +0.0; adding zero does the same.
     return np.add(g_p, 0.0, out=g_p)
@@ -172,17 +167,6 @@ def _loss(model: DetectionModel, preds, gts_per_frame, box_weight: float, huber_
             targets.append(build_targets(gts, model.stage_shape(stage), STAGE_STRIDES[stage], anchors[stage]))
     return T.op_forward(LOSS_OP, maps, targets=tuple(targets), frames=frames,
                         box_weight=box_weight, huber_beta=huber_beta)
-
-
-def frame_loss(
-    preds: dict[str, Tensor],
-    gts: list[Box],
-    model: DetectionModel,
-    box_weight: float,
-    huber_beta: float,
-) -> Tensor:
-    """One frame's loss: the loss op over a single frame."""
-    return _loss(model, [preds], [gts], box_weight, huber_beta, frames=1)
 
 
 def clip_loss(model: DetectionModel, frames, gts_per_frame, reset_every=None) -> Tensor:

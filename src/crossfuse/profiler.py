@@ -1,4 +1,4 @@
-"""Parameter counts, FLOP counts, and wall-clock latency for fusion stages.
+"""Parameter and FLOP counts for fusion stages.
 
 Counts are exact integers from closed forms that mirror the forward pass,
 under a pinned convention:
@@ -11,27 +11,22 @@ under a pinned convention:
   * pure data movement (patching, interleaving, reshapes) is free.
 
 FLOPs are for a single frame-pair forward through a stage, without a carry
-token. Latency is measured, not derived: median and p95 of repeated
-single-frame stage forwards on this machine, single process.
+token. Time is measured by the benchmark (``bench/run.py``), not here.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
-import math
 import os
 import platform
-import statistics
-import time
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fusion import StageConfig, init_stage, stage_forward
+from .fusion import StageConfig
 from .ssm import default_dt_rank
-from .tensor import Tensor
 
 __all__ = [
     "StageProfile",
@@ -42,8 +37,6 @@ __all__ = [
     "stage_flop_count",
     "count_params",
     "count_flops",
-    "bench_latency",
-    "nearest_rank",
     "profile",
     "render_table",
     "full_scale_configs",
@@ -147,8 +140,6 @@ class StageProfile:
     name: str
     params: int
     flops: int
-    latency_ms_median: Optional[float] = None
-    latency_ms_p95: Optional[float] = None
 
 
 @dataclass
@@ -156,8 +147,6 @@ class ProfileReport:
     stages: list[StageProfile]
     total_params: int
     total_flops: int
-    total_latency_ms_median: Optional[float]
-    total_latency_ms_p95: Optional[float]
     conventions: str
     machine: str
     reference: Optional[dict] = None
@@ -181,98 +170,28 @@ def _machine_descriptor() -> str:
             f" / blas {blas} / simd {','.join(simd)}")
 
 
-def nearest_rank(values: Sequence[float], q: float) -> float:
-    """The q-quantile by nearest rank: the ceil(q*n)-th smallest of n values."""
-    ordered = sorted(values)
-    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
-
-
-def bench_latency(
-    configs: Sequence[StageConfig],
-    reps: int = 10,
-    warmup: int = 3,
-) -> dict[str, dict[str, float]]:
-    """Median/p95 wall-clock per single-frame stage forward, in milliseconds.
-
-    p95 is taken by nearest rank, so with fewer than 20 reps it is the
-    slowest sample.
-
-    ``reps`` must be at least 10 and ``warmup`` at least 3 so the medians are
-    not dominated by allocator and cache warmup.
-    """
-    if reps < 10:
-        raise ValueError(f"reps must be >= 10, got {reps}")
-    if warmup < 3:
-        raise ValueError(f"warmup must be >= 3, got {warmup}")
-    rng = np.random.default_rng(0)
-    out: dict[str, dict[str, float]] = {}
-    totals = np.zeros(reps)
-    for cfg in configs:
-        params = init_stage(cfg, rng)
-        rgb = Tensor(rng.normal(size=(cfg.height, cfg.width, cfg.channels)).astype(np.float32))
-        thm = Tensor(rng.normal(size=(cfg.height, cfg.width, cfg.channels)).astype(np.float32))
-        for _ in range(warmup):
-            stage_forward(params, rgb, thm)
-        times = []
-        for i in range(reps):
-            t0 = time.perf_counter()
-            stage_forward(params, rgb, thm)
-            times.append((time.perf_counter() - t0) * 1e3)
-        totals += np.array(times)
-        out[cfg.name] = {"median_ms": statistics.median(times), "p95_ms": nearest_rank(times, 0.95)}
-    out["total"] = {"median_ms": float(np.median(totals)), "p95_ms": float(nearest_rank(totals, 0.95))}
-    return out
-
-
-def profile(
-    configs: Sequence[StageConfig],
-    with_latency: bool = False,
-    reps: int = 10,
-    warmup: int = 3,
-    reference: Optional[dict] = None,
-) -> ProfileReport:
-    latency = bench_latency(configs, reps=reps, warmup=warmup) if with_latency else {}
-    stages = []
-    for cfg in configs:
-        lat = latency.get(cfg.name, {})
-        stages.append(
-            StageProfile(
-                name=cfg.name,
-                params=stage_param_count(cfg),
-                flops=stage_flop_count(cfg),
-                latency_ms_median=lat.get("median_ms"),
-                latency_ms_p95=lat.get("p95_ms"),
-            )
-        )
-    total = latency.get("total", {})
-    report = ProfileReport(
+def profile(configs: Sequence[StageConfig], reference: Optional[dict] = None) -> ProfileReport:
+    stages = [StageProfile(name=cfg.name, params=stage_param_count(cfg), flops=stage_flop_count(cfg))
+              for cfg in configs]
+    return ProfileReport(
         stages=stages,
         total_params=sum(s.params for s in stages),
         total_flops=sum(s.flops for s in stages),
-        total_latency_ms_median=total.get("median_ms"),
-        total_latency_ms_p95=total.get("p95_ms"),
         conventions=CONVENTIONS,
         machine=_machine_descriptor(),
         reference=reference,
     )
-    return report
 
 
 def render_table(report: ProfileReport) -> str:
     lines = []
-    header = f"{'stage':<8} {'params':>14} {'MFLOPs':>12} {'lat ms (med)':>14} {'lat ms (p95)':>14}"
+    header = f"{'stage':<8} {'params':>14} {'MFLOPs':>12}"
     lines.append(header)
     lines.append("-" * len(header))
     for s in report.stages:
-        med = f"{s.latency_ms_median:.2f}" if s.latency_ms_median is not None else "-"
-        p95 = f"{s.latency_ms_p95:.2f}" if s.latency_ms_p95 is not None else "-"
-        lines.append(f"{s.name:<8} {s.params:>14,} {s.flops / 1e6:>12.2f} {med:>14} {p95:>14}")
-    total_med = f"{report.total_latency_ms_median:.2f}" if report.total_latency_ms_median is not None else "-"
-    total_p95 = f"{report.total_latency_ms_p95:.2f}" if report.total_latency_ms_p95 is not None else "-"
+        lines.append(f"{s.name:<8} {s.params:>14,} {s.flops / 1e6:>12.2f}")
     lines.append("-" * len(header))
-    lines.append(
-        f"{'total':<8} {report.total_params:>14,} {report.total_flops / 1e6:>12.2f} {total_med:>14} {total_p95:>14}"
-    )
+    lines.append(f"{'total':<8} {report.total_params:>14,} {report.total_flops / 1e6:>12.2f}")
     if report.reference:
         ref_p = report.reference.get("params_m")
         ref_g = report.reference.get("gflops")

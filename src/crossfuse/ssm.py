@@ -15,17 +15,17 @@ stable regardless of parameter values.
 
 The whole sequence runs as one kernel, ``_scan_fwd``: the B and delta
 projections, the softplus, A = -exp(a_log), the recurrence and the readout
-y = sum_n w_out * h in one call. It runs the kernels of the chain of core ops
-it replaces, and its adjoint ``_scan_bwd`` runs their adjoints in reverse tape
-order, so results equal that chain's bit for bit. Only ``mamba_block``
-differentiates the scan. ``scan_sequence`` and ``scan_step`` (the same kernel
-on a one-token sequence, for streaming inference) are plain forward calls of
-it that record nothing, so they refuse to run while a ``Graph`` records.
+y = sum_n w_out * h in one call, with its adjoint ``_scan_bwd`` written out
+by hand. Only ``mamba_block`` differentiates the scan. ``scan_sequence`` and
+``scan_step`` (the same kernel on a one-token sequence, for streaming
+inference) are plain forward calls of it that record nothing, so they refuse
+to run while a ``Graph`` records.
 
 A gated residual block is likewise one op, ``mamba_block``: layer norm, the
 in-projection, the causal conv, silu, the scan, the silu gate and the
-residual output projection, with the adjoints of those ten ops replayed in
-reverse tape order.
+residual output projection. Both ops do the arithmetic of the chains of core
+ops they replaced, in the same order, so they keep those chains' results bit
+for bit.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ def _recurrence_bwd(ctx, g):
     length = x.shape[0]
     g_dbx = np.empty_like(d_a)
     acc = np.zeros_like(state0)
-    for t in range(length - 1, -1, -1):
-        acc = np.add(acc, g[t], out=g_dbx[t])
-        acc = d_a[t] * acc
+    for t in range(length - 1, 0, -1):
+        acc = d_a[t] * np.add(acc, g[t], out=g_dbx[t])
+    np.add(acc, g[0], out=g_dbx[0])
     g_da = np.empty_like(d_a)                              # g_dbx times the previous state
     np.multiply(g_dbx[0], state0, out=g_da[0])
     np.multiply(g_dbx[1:], h_all[:-1], out=g_da[1:])
@@ -165,39 +165,34 @@ def _recurrence_bwd(ctx, g):
 def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
     """The whole selective scan as one kernel, y (L, C) from tokens x (L, C).
 
-    Runs the same kernels, in the same order, as the chain of core ops it
-    replaces (projections, softplus, A = -exp(a_log), recurrence, readout),
-    so the outputs are bit-identical to that chain. The states h (L, C, N)
-    are in the context as ``ctx["scan"]["h_all"]``.
+    Projects B and delta from the tokens, takes A = -exp(a_log), runs the
+    recurrence and reads out y = sum_n w_out * h. The states h (L, C, N) are
+    in the context as ``ctx["scan"]["h_all"]``.
     """
     if state0 is None:
         state0 = np.zeros((x.shape[1], a_log.shape[1]), dtype=x.dtype)
     b_seq, c_b = T._linear_fwd(x, w_b)                  # (L, N)
     low, c_low = T._linear_fwd(x, dt_down)              # (L, R)
     up, c_up = T._linear_fwd(low, dt_up)                # (L, C)
-    pre, c_pre = T._add_fwd(up, dt_bias)
-    delta, c_delta = T._softplus_fwd(pre)
-    e_a, c_ea = T._exp_fwd(a_log)                       # A = -exp(a_log), (C, N)
+    delta, c_delta = T._softplus_fwd(up + dt_bias)
+    e_a = np.exp(a_log)                                 # A = -e_a, (C, N)
     h_all, c_scan = _recurrence_fwd(x, delta, b_seq, -e_a, state0)
-    prod, c_prod = T._mul_fwd(h_all, w_out)
-    y, c_y = T._sum_fwd(prod, axis=-1)                  # (L, C)
-    ctx = {"b": c_b, "low": c_low, "up": c_up, "pre": c_pre, "delta": c_delta, "ea": c_ea,
-           "scan": c_scan, "prod": c_prod, "y": c_y}
+    y = (h_all * w_out).sum(axis=-1)                    # (L, C)
+    ctx = {"b": c_b, "low": c_low, "up": c_up, "delta": c_delta, "e_a": e_a, "w_out": w_out,
+           "scan": c_scan}
     return y, ctx
 
 
 def _scan_bwd(ctx, g):
-    """Adjoints of the replaced chain, run in its reverse tape order."""
-    g_prod, = T._sum_bwd(ctx["y"], g)
-    g_h_all, g_w_out = T._mul_bwd(ctx["prod"], g_prod)
-    g_x, g_delta, g_b, g_a = _recurrence_bwd(ctx["scan"], g_h_all)
-    g_a_log, = T._exp_bwd(ctx["ea"], -g_a)
+    g_col = g[:, :, None]                               # (L, C, 1)
+    g_w_out = (g_col * ctx["scan"]["h_all"]).sum(axis=0)
+    g_x, g_delta, g_b, g_a = _recurrence_bwd(ctx["scan"], g_col * ctx["w_out"])
     g_pre, = T._softplus_bwd(ctx["delta"], g_delta)
-    g_up, g_dt_bias = T._add_bwd(ctx["pre"], g_pre)
-    g_low, g_dt_up = T._linear_bwd(ctx["up"], g_up)
+    g_low, g_dt_up = T._linear_bwd(ctx["up"], g_pre)
     g_x_delta, g_dt_down = T._linear_bwd(ctx["low"], g_low)
     g_x_b, g_w_b = T._linear_bwd(ctx["b"], g_b)
-    return (g_x + g_x_delta) + g_x_b, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out
+    return ((g_x + g_x_delta) + g_x_b, g_w_b, g_dt_down, g_dt_up, g_pre.sum(axis=0),
+            -g_a * ctx["e_a"], g_w_out)
 
 
 def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] = None) -> tuple[Tensor, SSMState]:
@@ -370,7 +365,7 @@ def init_block(
 
 def _block_fwd(tokens, norm_gamma, norm_beta, in_w, conv_k, conv_b, gate_w, out_w, out_b,
                w_b, dt_down, dt_up, dt_bias, a_log, w_out):
-    """One gated block as one op: the kernels of its ten-op chain, in order.
+    """One gated block as one op.
 
     n = layer_norm(tokens); s = silu(conv(n @ in_w)); y = scan(s);
     out = tokens + (y * silu(n @ gate_w)) @ out_w + out_b.
@@ -382,27 +377,23 @@ def _block_fwd(tokens, norm_gamma, norm_beta, in_w, conv_k, conv_b, gate_w, out_
     y, c_y = _scan_fwd(s, w_b, dt_down, dt_up, dt_bias, a_log, w_out)
     gm, c_gm = T._linear_fwd(n, gate_w)
     gs, c_gs = T._silu_fwd(gm)
-    mixed, c_mix = T._mul_fwd(y, gs)
-    o, c_o = T._linear_fwd(mixed, out_w, out_b)
-    out, c_out = T._add_fwd(tokens, o)
-    return out, (c_n, c_a, c_c, c_s, c_y, c_gm, c_gs, c_mix, c_o, c_out)
+    o, c_o = T._linear_fwd(y * gs, out_w, out_b)
+    return tokens + o, (c_n, c_a, c_c, c_s, c_y, y, c_gm, c_gs, gs, c_o)
 
 
 def _block_bwd(ctx, g):
-    """The chain's adjoints in reverse tape order; n sums gate + in, tokens
-    sums residual + norm, as the tape accumulated them."""
-    c_n, c_a, c_c, c_s, c_y, c_gm, c_gs, c_mix, c_o, c_out = ctx
-    g_res, g_o = T._add_bwd(c_out, g)
-    g_mixed, g_out_w, g_out_b = T._linear_bwd(c_o, g_o)
-    g_y, g_gs = T._mul_bwd(c_mix, g_mixed)
-    g_gm, = T._silu_bwd(c_gs, g_gs)
+    """n sums the gate and in-projection gradients, then tokens sums the
+    residual and norm gradients, in the order a tape accumulates them."""
+    c_n, c_a, c_c, c_s, c_y, y, c_gm, c_gs, gs, c_o = ctx
+    g_mixed, g_out_w, g_out_b = T._linear_bwd(c_o, g)
+    g_gm, = T._silu_bwd(c_gs, g_mixed * y)
     g_n_gate, g_gate_w = T._linear_bwd(c_gm, g_gm)
-    g_s, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out = _scan_bwd(c_y, g_y)
+    g_s, g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out = _scan_bwd(c_y, g_mixed * gs)
     g_c, = T._silu_bwd(c_s, g_s)
     g_a, g_conv_k, g_conv_b = T._conv1d_bwd(c_c, g_c)
     g_n_in, g_in_w = T._linear_bwd(c_a, g_a)
     g_norm, g_gamma, g_beta = T._layer_norm_bwd(c_n, g_n_gate + g_n_in)
-    return (g_res + g_norm, g_gamma, g_beta, g_in_w, g_conv_k, g_conv_b, g_gate_w, g_out_w, g_out_b,
+    return (g + g_norm, g_gamma, g_beta, g_in_w, g_conv_k, g_conv_b, g_gate_w, g_out_w, g_out_b,
             g_w_b, g_dt_down, g_dt_up, g_dt_bias, g_a_log, g_w_out)
 
 

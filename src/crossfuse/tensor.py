@@ -4,10 +4,9 @@ The registry holds the kinds the program records: suffix-broadcast add, a
 linear map ``x @ w`` with an optional bias, silu and the shape ops (concat,
 slice). Domain modules register their fused ops (``take_rows``,
 ``mamba_block``, ``detection_loss``) through ``register_op``. The kernels
-those fused ops are built from (layer norm, causal depthwise convolution,
-softplus, exp, mul, sum/mean reductions) live here as plain forward/adjoint
-pairs; the test suite registers them as op kinds of its own to check the
-fused ops against.
+those fused ops call besides (layer norm, causal depthwise convolution,
+softplus) live here as plain forward/adjoint pairs; the fused ops write the
+rest of their arithmetic inline.
 
 Values are immutable: every op returns a fresh ``Tensor`` and the backing
 numpy buffers are marked read-only. Recording is explicit; ops executed
@@ -337,7 +336,7 @@ def _reduce_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: the core ops and the pieces the fused ops are built from
+# Kernels: the core ops and the pieces the fused ops call
 # ---------------------------------------------------------------------------
 
 def _add_fwd(a, b):
@@ -347,16 +346,6 @@ def _add_fwd(a, b):
 
 def _add_bwd(ctx, g):
     return _reduce_to_shape(g, ctx["sa"]), _reduce_to_shape(g, ctx["sb"])
-
-
-def _mul_fwd(a, b):
-    _check_suffix_broadcast("mul", a.shape, b.shape)
-    return a * b, {"a": a, "b": b}
-
-
-def _mul_bwd(ctx, g):
-    a, b = ctx["a"], ctx["b"]
-    return _reduce_to_shape(g * b, a.shape), _reduce_to_shape(g * a, b.shape)
 
 
 def _linear_fwd(x, w, b=None):
@@ -467,15 +456,6 @@ def _softplus_bwd(ctx, g):
     return (g * _sigmoid_np(ctx["x"]),)
 
 
-def _exp_fwd(x):
-    y = np.exp(x)
-    return y, {"y": y}
-
-
-def _exp_bwd(ctx, g):
-    return (g * ctx["y"],)
-
-
 def _concat_fwd(*arrays, axis=0):
     if not arrays:
         raise ShapeError("concat: needs at least one input")
@@ -524,42 +504,6 @@ def _slice_bwd(ctx, g):
     idx[ctx["axis"]] = slice(ctx["start"], ctx["start"] + ctx["length"])
     out[tuple(idx)] = g
     return (out,)
-
-
-def _normalize_axis(x, axis):
-    if axis is None:
-        return tuple(range(x.ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    out = []
-    for a in axis:
-        if not -x.ndim <= a < x.ndim:
-            raise ShapeError(f"reduction axis {a} out of range for shape {x.shape}")
-        out.append(a % x.ndim)
-    if len(set(out)) != len(out):
-        raise ShapeError(f"duplicate reduction axes {axis}")
-    return tuple(sorted(out))
-
-
-def _expand_reduced(g, shape, axes):
-    full = list(g.shape)
-    for a in axes:
-        full.insert(a, 1)
-    return np.broadcast_to(g.reshape(full), shape)
-
-
-def _sum_fwd(x, axis=None):
-    axes = _normalize_axis(x, axis)
-    return x.sum(axis=axes), {"shape": x.shape, "axes": axes}
-
-
-def _sum_bwd(ctx, g):
-    return (np.ascontiguousarray(_expand_reduced(g, ctx["shape"], ctx["axes"])),)
-
-
-def _mean_fwd(x, axis=None):
-    axes = _normalize_axis(x, axis)
-    return x.mean(axis=axes), {"shape": x.shape, "axes": axes}
 
 
 register_op("add", _add_fwd, _add_bwd)

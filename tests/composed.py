@@ -1,16 +1,19 @@
 """The chains of core ops that the fused ``mamba_block`` and ``detection_loss``
 ops replace, kept as bit-for-bit oracles for ``test_ssm`` and ``test_harness``.
 
-Each function records one tape node per core op, exactly as the program did
-before the ops were fused, so the fused forwards and adjoints can be checked
-against it bit for bit.
+Each function records one tape node per core op, as the program did before
+the ops were fused. The fused ops do the same arithmetic in the same order
+inline, so their forwards and adjoints can be checked against these chains
+bit for bit.
 
 The program records none of the chains' elementwise, normalisation and
 reduction ops, so the engine's registry does not hold them. This module
-registers them on import, over the engine's kernels, with their wrappers.
-It also registers ``ssm_scan`` over the scan kernel ``mamba_block`` runs, so
-the scan can be recorded and differentiated on its own, and ``reshape`` and
-``transpose``, which only the tests' own chains record.
+registers them on import with their wrappers: ``mul``, ``exp``,
+``reduce_sum`` and ``reduce_mean`` over kernels defined here, the rest over
+the engine's kernels. It also registers ``ssm_scan`` over the scan kernel
+``mamba_block`` runs, so the scan can be recorded and differentiated on its
+own, and ``reshape`` and ``transpose``, which only the tests' own chains
+record.
 Import it under the one name ``composed``: a second import under another name
 would register every kind twice, which ``register_op`` rejects.
 """
@@ -32,11 +35,66 @@ PROGRAM_KINDS = ["add", "concat", "detection_loss", "linear", "mamba_block", "si
                  "take_rows"]
 
 
+def _mul_fwd(a, b):
+    T._check_suffix_broadcast("mul", a.shape, b.shape)
+    return a * b, {"a": a, "b": b}
+
+
+def _mul_bwd(ctx, g):
+    a, b = ctx["a"], ctx["b"]
+    return T._reduce_to_shape(g * b, a.shape), T._reduce_to_shape(g * a, b.shape)
+
+
+def _exp_fwd(x):
+    y = np.exp(x)
+    return y, {"y": y}
+
+
+def _exp_bwd(ctx, g):
+    return (g * ctx["y"],)
+
+
+def _normalize_axis(x, axis):
+    if axis is None:
+        return tuple(range(x.ndim))
+    if isinstance(axis, int):
+        axis = (axis,)
+    out = []
+    for a in axis:
+        if not -x.ndim <= a < x.ndim:
+            raise T.ShapeError(f"reduction axis {a} out of range for shape {x.shape}")
+        out.append(a % x.ndim)
+    if len(set(out)) != len(out):
+        raise T.ShapeError(f"duplicate reduction axes {axis}")
+    return tuple(sorted(out))
+
+
+def _expand_reduced(g, shape, axes):
+    full = list(g.shape)
+    for a in axes:
+        full.insert(a, 1)
+    return np.broadcast_to(g.reshape(full), shape)
+
+
+def _sum_fwd(x, axis=None):
+    axes = _normalize_axis(x, axis)
+    return x.sum(axis=axes), {"shape": x.shape, "axes": axes}
+
+
+def _sum_bwd(ctx, g):
+    return (np.ascontiguousarray(_expand_reduced(g, ctx["shape"], ctx["axes"])),)
+
+
+def _mean_fwd(x, axis=None):
+    axes = _normalize_axis(x, axis)
+    return x.mean(axis=axes), {"shape": x.shape, "axes": axes}
+
+
 def _mean_bwd(ctx, g):
     n = 1
     for a in ctx["axes"]:
         n *= ctx["shape"][a]
-    return (np.ascontiguousarray(T._expand_reduced(g, ctx["shape"], ctx["axes"]) / n),)
+    return (np.ascontiguousarray(_expand_reduced(g, ctx["shape"], ctx["axes"]) / n),)
 
 
 def _reshape_fwd(x, shape=()):
@@ -62,13 +120,13 @@ def _transpose_bwd(ctx, g):
     return (np.ascontiguousarray(g.transpose(tuple(inverse))),)
 
 
-register_op("mul", T._mul_fwd, T._mul_bwd)
+register_op("mul", _mul_fwd, _mul_bwd)
 register_op("conv1d_causal", T._conv1d_fwd, T._conv1d_bwd)
 register_op("layer_norm", T._layer_norm_fwd, T._layer_norm_bwd)
 register_op("softplus", T._softplus_fwd, T._softplus_bwd)
-register_op("exp", T._exp_fwd, T._exp_bwd)
-register_op("reduce_sum", T._sum_fwd, T._sum_bwd)
-register_op("reduce_mean", T._mean_fwd, _mean_bwd)
+register_op("exp", _exp_fwd, _exp_bwd)
+register_op("reduce_sum", _sum_fwd, _sum_bwd)
+register_op("reduce_mean", _mean_fwd, _mean_bwd)
 register_op("huber", _huber_fwd, _huber_bwd)
 register_op("reshape", _reshape_fwd, _reshape_bwd)
 register_op("transpose", _transpose_fwd, _transpose_bwd)
@@ -156,7 +214,7 @@ def _bce_with_logits_mean(logits: Tensor, target: Tensor) -> Tensor:
 
 
 def composed_frame_loss(preds, gts, model, box_weight: float, huber_beta: float) -> Tensor:
-    """``train.frame_loss`` as its chain of narrows, elementwise ops and sums."""
+    """One frame's ``detection_loss`` as its chain of narrows, elementwise ops and sums."""
     anchors = model.cfg["model"]["anchors"]
     terms = []
     for stage in STAGE_NAMES:

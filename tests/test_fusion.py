@@ -137,7 +137,7 @@ def test_config_accepts_valid():
 
 def test_config_roundtrips_through_dict():
     cfg = _cfg(dt_rank=3)
-    assert StageConfig.from_dict(cfg.to_dict()) == cfg
+    assert StageConfig(**cfg.to_dict()) == cfg
 
 
 def test_config_rejects_bad_shapes():

@@ -35,7 +35,6 @@ from crossfuse.harness.synthetic import (
     load_dataset,
 )
 from crossfuse.harness.train import SGD, TrainAbort, build_targets, clip_loss, train
-from crossfuse.harness.train import frame_loss
 from crossfuse.metrics import Box, read_boxes_jsonl
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check
 from crossfuse.tensorio import save_checkpoint
@@ -410,7 +409,7 @@ def test_empty_frame_loss_is_three_log_twos():
         "f2": Tensor(np.zeros((2, 2, 5), np.float32)),
         "f3": Tensor(np.zeros((1, 1, 5), np.float32)),
     }
-    loss = frame_loss(preds, [], model, box_weight=1.0, huber_beta=0.1)
+    loss = train_mod._loss(model, [preds], [[]], box_weight=1.0, huber_beta=0.1, frames=1)
     np.testing.assert_allclose(loss.item(), 3.0 * LN2, rtol=1e-6)
 
 
@@ -710,8 +709,6 @@ def test_loss_op_equals_composed_chain_bit_for_bit(gts, box_weight, huber_beta, 
     maps = _random_maps(np.random.default_rng(seed), model, len(gts))
 
     def fused(preds):
-        if len(preds) == 1:
-            return frame_loss(preds[0], gts[0], model, box_weight, huber_beta)
         return train_mod._loss(model, preds, gts, box_weight, huber_beta, len(preds))
 
     loss, grads = _loss_and_grads(fused, maps)
@@ -727,11 +724,11 @@ def test_frame_loss_is_one_op_and_checks_map_shapes():
     maps = _random_maps(np.random.default_rng(3), model, 1)
     preds = {stage: maps[f"p0.{stage}"] for stage in STAGE_NAMES}
     with Graph() as g:
-        frame_loss(preds, _LAST_CELL, model, box_weight=1.0, huber_beta=0.1)
+        train_mod._loss(model, [preds], [_LAST_CELL], box_weight=1.0, huber_beta=0.1, frames=1)
     assert [n.kind for n in g.nodes] == ["detection_loss"]
     preds["f2"] = Tensor(np.zeros((2, 2, 4), np.float32))
     with pytest.raises(ShapeError, match="map shape"):
-        frame_loss(preds, _LAST_CELL, model, box_weight=1.0, huber_beta=0.1)
+        train_mod._loss(model, [preds], [_LAST_CELL], box_weight=1.0, huber_beta=0.1, frames=1)
 
 
 def test_loss_op_gradients_match_finite_differences():
@@ -888,6 +885,21 @@ def test_load_detector_names_a_missing_config(tmp_path):
     save_checkpoint(tmp_path / "run", DetectionModel(cfg).named_parameters(), metadata={
         "kind": "detection_checkpoint", "config_hash": config_model_hash(cfg)})
     with pytest.raises(ValueError, match="key 'config' must be a dict, got None"):
+        load_detector(tmp_path / "run")
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda cfg: cfg["model"]["stages"][0].update(layers=None), "is not a valid config"),
+    (lambda cfg: cfg.pop("model"), "does not hash to its 'config_hash'"),
+], ids=["null-layers", "no-model"])
+def test_load_detector_names_the_checkpoint_and_key_of_a_broken_stored_config(tmp_path, mutate, reason):
+    cfg = _small_mambast_cfg()
+    params = DetectionModel(cfg).named_parameters()
+    stored = json.loads(json.dumps(cfg))
+    mutate(stored)
+    save_checkpoint(tmp_path / "run", params, metadata={
+        "kind": "detection_checkpoint", "config": stored, "config_hash": config_model_hash(cfg)})
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'run'}: detection checkpoint key 'config' {reason}")):
         load_detector(tmp_path / "run")
 
 

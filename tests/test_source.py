@@ -61,3 +61,35 @@ def test_every_name_in_all_is_bound_by_its_module():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert sum("__all__" in path.read_text() for path in modules) >= 10
     assert [hit for path in modules for hit in _unbound_exports(path)] == []
+
+
+def _uncalled_functions(modules: list[Path]) -> list[str]:
+    """Functions and methods defined in the package that nothing in it refers to.
+
+    A function counts as used when its name is loaded anywhere in the package
+    (a call, or a reference such as a kernel handed to ``register_op``), read
+    as an attribute, or listed in some module's ``__all__``. Dunder methods
+    are called by Python itself and are skipped. Matching is by name, so a
+    function that shares its name with a used one passes.
+    """
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = path.relative_to(PACKAGE.parent)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((f"{where}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+    return [f"{where}: {name}" for where, name in defined if name not in used]
+
+
+def test_every_function_is_used_in_the_package_or_exported():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert _uncalled_functions(modules) == []

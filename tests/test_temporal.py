@@ -5,6 +5,7 @@ single-frame fusion, so batch and streaming execution must agree exactly,
 and memory carried between frames is a fixed number of floats.
 """
 
+import dataclasses
 import json
 
 import composed as C
@@ -301,7 +302,7 @@ def test_config_hash_tracks_config_changes():
     configs = _configs()
     h = config_hash(configs)
     assert h == config_hash(list(configs))
-    changed = [StageConfig.from_dict({**configs[0].to_dict(), "layers": 2}), configs[1]]
+    changed = [dataclasses.replace(configs[0], layers=2), configs[1]]
     assert config_hash(changed) != h
 
 
