@@ -2,8 +2,9 @@
 
 The file must carry ``schema_version: 1``. A key the defaults do not have,
 at any level and in any ``model.stages`` entry, is rejected so typos fail
-loudly, as are a value of another JSON kind than its default's and a stage
-entry missing a key. Runs are seeded by the config's ``seed``.
+loudly, as are a value of another JSON kind than its default's, a
+non-integer where the default is an integer, and a stage entry missing a
+key. Runs are seeded by the config's ``seed``.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def _merge(base: dict, override: dict, source: str, path: str = "") -> dict:
         want = _json_kind(out[key])
         if _json_kind(value) != want:
             raise ValueError(f"{source}: config key '{path}{key}' must be {want}, got {type(value).__name__}")
+        if isinstance(out[key], int) and not isinstance(value, int):
+            raise ValueError(f"{source}: config key '{path}{key}' must be an integer, got {value!r}")
         if isinstance(value, dict):  # and so is the default, by the kind check above
             out[key] = _merge(out[key], value, source, f"{path}{key}.")
         else:

@@ -119,8 +119,8 @@ def _map_loss_bwd(ctx, g):
     return np.add(g_p, 0.0, out=g_p)
 
 
-def _loss_fwd(*maps, targets=(), frames=1, box_weight=1.0, huber_beta=1.0):
-    """Mean over ``frames`` of the per-frame detection loss, as one op.
+def _loss_fwd(*maps, targets=(), box_weight=1.0, huber_beta=1.0):
+    """Mean over the frames of the per-frame detection loss, as one op.
 
     ``maps`` are the prediction maps frame by frame, each frame's stages in
     ``STAGE_NAMES`` order, and ``targets`` their (objectness, box, mask)
@@ -144,7 +144,7 @@ def _loss_fwd(*maps, targets=(), frames=1, box_weight=1.0, huber_beta=1.0):
     total = frame_losses[0]
     for fl in frame_losses[1:]:
         total = total + fl
-    mean = np.asarray(1.0 / frames, dtype=total.dtype)
+    mean = np.asarray(1.0 / len(frame_losses), dtype=total.dtype)
     return total * mean, {"maps": ctxs, "mean": mean}
 
 
@@ -156,8 +156,7 @@ def _loss_bwd(ctx, g):
 register_op(LOSS_OP, _loss_fwd, _loss_bwd)
 
 
-def _loss(model: DetectionModel, preds, gts_per_frame, box_weight: float, huber_beta: float,
-          frames: int) -> Tensor:
+def _loss(model: DetectionModel, preds, gts_per_frame, box_weight: float, huber_beta: float) -> Tensor:
     """The loss op on the prediction maps of ``preds`` and the targets of their boxes."""
     anchors = model.cfg["model"]["anchors"]
     maps, targets = [], []
@@ -165,15 +164,15 @@ def _loss(model: DetectionModel, preds, gts_per_frame, box_weight: float, huber_
         for stage in STAGE_NAMES:
             maps.append(pred[stage])
             targets.append(build_targets(gts, model.stage_shape(stage), STAGE_STRIDES[stage], anchors[stage]))
-    return T.op_forward(LOSS_OP, maps, targets=tuple(targets), frames=frames,
+    return T.op_forward(LOSS_OP, maps, targets=tuple(targets),
                         box_weight=box_weight, huber_beta=huber_beta)
 
 
-def clip_loss(model: DetectionModel, frames, gts_per_frame, reset_every=None) -> Tensor:
+def clip_loss(model: DetectionModel, frames, gts_per_frame) -> Tensor:
     """Mean per-frame loss over one clip, one op on the clip's prediction maps."""
-    preds = model.forward_frames(frames, reset_every=reset_every)
+    preds = model.forward_frames(frames)
     train_cfg = model.cfg["train"]
-    return _loss(model, preds, gts_per_frame, train_cfg["box_weight"], train_cfg["huber_beta"], len(preds))
+    return _loss(model, preds, gts_per_frame, train_cfg["box_weight"], train_cfg["huber_beta"])
 
 
 class SGD:

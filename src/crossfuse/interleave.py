@@ -14,7 +14,8 @@ spectra at matching positions.
 The layout is a pure permutation of pixels, cached per (rows, cols, S),
 with an exact inverse. Flattening is one gather of pixel rows, un-flattening
 one gather per modality, and ``patch``/``unpatch`` (space-to-depth on one
-map and back) one gather each, all ``take_rows`` ops.
+map and back) one gather each, all ``take_rows`` ops. Each gather runs
+through a ``RowIndex``, checked once when its layout is built.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor, register_op
 
-__all__ = ["OcfLayout", "build_layout", "ocf_flatten", "ocf_unflatten", "patch", "unpatch"]
+__all__ = ["OcfLayout", "RowIndex", "build_layout", "ocf_flatten", "ocf_unflatten", "patch", "unpatch"]
 
 TAKE_OP = "take_rows"
 
@@ -35,61 +36,50 @@ RGB = 0
 THERMAL = 1
 
 
-# Index facts of every layout array, worked out once: id -> (array, min, max,
-# all distinct). The entry holds the array, so its id is never reused.
-_INDEX_FACTS: dict[int, tuple[np.ndarray, int, int, bool]] = {}
+@dataclass(frozen=True, eq=False)
+class RowIndex:
+    """A gather of rows out of ``source`` rows that picks each row at most once.
 
-
-def _index_facts(idx: np.ndarray) -> tuple[int, int, bool]:
-    """(min, max, every index distinct) of a 1-d index array."""
-    hit = _INDEX_FACTS.get(id(idx))
-    if hit is not None and hit[0] is idx:
-        return hit[1:]
-    if not idx.size:
-        return 0, -1, True
-    lo, hi = int(idx.min()), int(idx.max())
-    return lo, hi, lo >= 0 and bool(np.bincount(idx).max() <= 1)
-
-
-def _layout_indices(a: np.ndarray) -> np.ndarray:
-    """Freeze a layout's index array and record its facts for ``take_rows``."""
-    a.flags.writeable = False
-    _INDEX_FACTS[id(a)] = (a,) + _index_facts(a)
-    return a
-
-
-def _take_rows_fwd(*arrays, indices, width, shape):
-    """Rows of the inputs, stacked in order, picked by ``indices``.
-
-    Each input is viewed as rows of ``width`` values and the picked rows are
-    reshaped to ``shape``.
+    Checked once, when built: ``index`` is 1-d, in range and free of repeats.
+    It is then read-only, so ``take_rows`` trusts it and its adjoint assigns.
     """
-    idx = np.asarray(indices)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows: indices must be 1-d, got shape {idx.shape}")
-    rows = [a.reshape(-1, width) for a in arrays]
-    stacked = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    lo, hi, distinct = _index_facts(idx)
-    if lo < 0 or hi >= stacked.shape[0]:
-        raise ShapeError(f"take_rows: index out of range for {stacked.shape[0]} rows")
-    ctx = {"indices": idx, "distinct": distinct, "rows": [r.shape[0] for r in rows],
-           "shapes": [a.shape for a in arrays]}
-    return stacked[idx].reshape(shape), ctx
+
+    index: np.ndarray
+    source: int
+
+    def __post_init__(self):
+        idx = np.array(self.index)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ShapeError(f"row index must be 1-d integers, got {idx.dtype} of shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.source):
+            raise ShapeError(f"row index out of range for {self.source} rows")
+        picked = np.zeros(self.source, dtype=bool)
+        picked[idx] = True
+        if np.count_nonzero(picked) != idx.size:
+            raise ShapeError("row index repeats a row")
+        idx.flags.writeable = False
+        object.__setattr__(self, "index", idx)
+
+
+def _take_rows_fwd(*arrays, rows, width, shape):
+    """The rows of the inputs, stacked in order, picked by the ``RowIndex``
+    ``rows``. Each input is viewed as rows of ``width`` values and the picked
+    rows are reshaped to ``shape``."""
+    parts = [a.reshape(-1, width) for a in arrays]
+    stacked = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if stacked.shape[0] != rows.source:
+        raise ShapeError(f"take_rows: index is over {rows.source} rows, inputs have {stacked.shape[0]}")
+    ctx = {"index": rows.index, "counts": [p.shape[0] for p in parts], "shapes": [a.shape for a in arrays]}
+    return stacked[rows.index].reshape(shape), ctx
 
 
 def _take_rows_bwd(ctx, g):
-    idx = ctx["indices"]
+    idx = ctx["index"]
     g_rows = g.reshape(idx.size, -1)
-    stacked = np.zeros((sum(ctx["rows"]), g_rows.shape[1]), dtype=g.dtype)
-    # Rows picked once (every layout gather) are assigned; np.add.at, which
-    # repeated rows need, is about ten times slower.
-    if ctx["distinct"]:
-        stacked[idx] = g_rows
-    else:
-        np.add.at(stacked, idx, g_rows)
-    grads = []
-    start = 0
-    for n, shape in zip(ctx["rows"], ctx["shapes"]):
+    stacked = np.zeros((sum(ctx["counts"]), g_rows.shape[1]), dtype=g.dtype)
+    stacked[idx] = g_rows
+    grads, start = [], 0
+    for n, shape in zip(ctx["counts"], ctx["shapes"]):
         grads.append(stacked[start:start + n].reshape(shape))
         start += n
     return tuple(grads)
@@ -103,19 +93,19 @@ class OcfLayout:
     """Token permutation for one (rows, cols) grid of S x S blocks.
 
     ``order[t]`` gives (modality, row, col) of token t on the block grid,
-    with modality 0 for RGB and 1 for thermal. ``gather`` holds, token by
-    token and then block-row-major within the token, the flat index of each
-    pixel in the stacked [rgb; thermal] row-major (rows*S, cols*S) maps, and
-    ``scatter`` is its inverse. With S = 1 both are token permutations.
-    ``unflatten`` splits ``scatter`` into its RGB and its thermal half.
+    with modality 0 for RGB and 1 for thermal. ``gather`` picks, token by
+    token and then block-row-major within the token, each pixel of the
+    stacked [rgb; thermal] row-major (rows*S, cols*S) maps, and ``scatter``
+    is its inverse. With S = 1 both are token permutations. ``unflatten``
+    splits ``scatter`` into its RGB and its thermal half.
     """
 
     rows: int
     cols: int
     order: tuple[tuple[int, int, int], ...]
-    gather: np.ndarray
-    scatter: np.ndarray
-    unflatten: tuple[np.ndarray, np.ndarray]
+    gather: RowIndex
+    scatter: RowIndex
+    unflatten: tuple[RowIndex, RowIndex]
     patch: int = 1
 
     @property
@@ -124,10 +114,7 @@ class OcfLayout:
 
 
 def _column_order(cols: int) -> list[int]:
-    evens = list(range(0, cols, 2))
-    start = cols - 1 if cols % 2 == 0 else cols - 2
-    odds = list(range(start, 0, -2))
-    return evens + odds
+    return list(range(0, cols, 2)) + list(range(1, cols, 2))[::-1]
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -137,18 +124,19 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _block_pixels(rows: int, cols: int, patch: int) -> np.ndarray:
+def _block_pixels(rows: int, cols: int, patch: int) -> RowIndex:
     """Flat pixel indices of every S x S block of a (rows*S, cols*S) map,
     blocks row-major, pixels block-row-major: rows*cols runs of patch^2."""
     r = np.arange(rows)[:, None, None, None] * patch + np.arange(patch)[None, None, :, None]
     c = np.arange(cols)[None, :, None, None] * patch + np.arange(patch)[None, None, None, :]
-    return _layout_indices((r * (cols * patch) + c).reshape(-1))
+    return RowIndex((r * (cols * patch) + c).reshape(-1), rows * cols * patch * patch)
 
 
 @lru_cache(maxsize=None)
-def _pixel_blocks(rows: int, cols: int, patch: int) -> np.ndarray:
+def _pixel_blocks(rows: int, cols: int, patch: int) -> RowIndex:
     """Inverse of ``_block_pixels``: the packed row of every map pixel."""
-    return _layout_indices(_inverse(_block_pixels(rows, cols, patch)))
+    packed = _block_pixels(rows, cols, patch)
+    return RowIndex(_inverse(packed.index), packed.source)
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +145,15 @@ def build_layout(rows: int, cols: int, patch: int = 1) -> OcfLayout:
         raise ValueError(f"layout needs rows >= 1 and cols >= 1, got ({rows}, {cols})")
     if patch < 1:
         raise ValueError(f"patch size must be >= 1, got {patch}")
-    order: list[tuple[int, int, int]] = []
-    for r in range(rows):
-        for c in _column_order(cols):
-            order.append((RGB, r, c))
-            order.append((THERMAL, r, c))
-    blocks = _block_pixels(rows, cols, patch).reshape(rows * cols, patch * patch)
+    columns = _column_order(cols)
+    order = tuple((m, r, c) for r in range(rows) for c in columns for m in (RGB, THERMAL))
     pixels = rows * cols * patch * patch
-    gather = np.concatenate([m * pixels + blocks[r * cols + c] for (m, r, c) in order])
-    scatter = _layout_indices(_inverse(gather))
-    halves = tuple(_layout_indices(scatter[m * pixels:(m + 1) * pixels]) for m in (RGB, THERMAL))
-    return OcfLayout(rows=rows, cols=cols, order=tuple(order), gather=_layout_indices(gather),
-                     scatter=scatter, unflatten=halves, patch=patch)
+    blocks = _block_pixels(rows, cols, patch).index.reshape(rows, cols, -1)[:, columns]
+    gather = np.stack([blocks, blocks + pixels], axis=2).reshape(-1)
+    scatter = _inverse(gather)
+    halves = tuple(RowIndex(scatter[m * pixels:(m + 1) * pixels], 2 * pixels) for m in (RGB, THERMAL))
+    return OcfLayout(rows=rows, cols=cols, order=order, gather=RowIndex(gather, 2 * pixels),
+                     scatter=RowIndex(scatter, 2 * pixels), unflatten=halves, patch=patch)
 
 
 def ocf_flatten(rgb: Tensor, thermal: Tensor, layout: OcfLayout) -> Tensor:
@@ -186,7 +171,7 @@ def ocf_flatten(rgb: Tensor, thermal: Tensor, layout: OcfLayout) -> Tensor:
         raise ShapeError(f"ocf_flatten: layout is {layout.rows}x{layout.cols} blocks of "
                          f"{layout.patch}x{layout.patch}, maps are {height}x{width}")
     shape = (layout.tokens, channels * layout.patch * layout.patch)
-    return T.op_forward(TAKE_OP, (rgb, thermal), indices=layout.gather, width=channels,
+    return T.op_forward(TAKE_OP, (rgb, thermal), rows=layout.gather, width=channels,
                         shape=shape)
 
 
@@ -204,7 +189,7 @@ def ocf_unflatten(tokens: Tensor, layout: OcfLayout) -> tuple[Tensor, Tensor]:
         raise ShapeError(f"ocf_unflatten: token width {tokens.shape[1]} is not divisible by {s}^2")
     channels = tokens.shape[1] // (s * s)
     shape = (layout.rows * s, layout.cols * s, channels)
-    return tuple(T.op_forward(TAKE_OP, (tokens,), indices=half, width=channels, shape=shape)
+    return tuple(T.op_forward(TAKE_OP, (tokens,), rows=half, width=channels, shape=shape)
                  for half in layout.unflatten)
 
 
@@ -221,7 +206,7 @@ def patch(x: Tensor, size: int) -> Tensor:
         raise ShapeError(f"patch: size {size} does not divide map {h}x{w}")
     if size == 1:
         return x
-    return T.op_forward(TAKE_OP, (x,), indices=_block_pixels(h // size, w // size, size), width=c,
+    return T.op_forward(TAKE_OP, (x,), rows=_block_pixels(h // size, w // size, size), width=c,
                         shape=(h // size, w // size, size * size * c))
 
 
@@ -237,5 +222,5 @@ def unpatch(x: Tensor, size: int) -> Tensor:
     if size == 1:
         return x
     c = packed // (size * size)
-    return T.op_forward(TAKE_OP, (x,), indices=_pixel_blocks(hb, wb, size), width=c,
+    return T.op_forward(TAKE_OP, (x,), rows=_pixel_blocks(hb, wb, size), width=c,
                         shape=(hb * size, wb * size, c))

@@ -289,10 +289,6 @@ class MambaBlockParams:
     def dim(self) -> int:
         return self.in_w.shape[0]
 
-    @property
-    def conv_kernel(self) -> int:
-        return self.conv_k.shape[0]
-
 
 def init_ssm(
     rng: np.random.Generator,

@@ -260,6 +260,15 @@ def test_config_takes_an_int_where_the_default_is_a_float():
     assert normalize_config({"schema_version": 1, "train": {"lr": 1}})["train"]["lr"] == 1
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"seed": 2.5}, "seed"),
+    ({"data": {"frames": 2.5}}, "data.frames"),
+])
+def test_config_rejects_a_non_integer_where_the_default_is_an_integer(raw, key):
+    with pytest.raises(ValueError, match=re.escape(f"<dict>: config key '{key}' must be an integer, got 2.5")):
+        normalize_config({"schema_version": 1, **raw})
+
+
 def test_config_names_the_keys_a_stage_entry_lacks():
     stages = default_config()["model"]["stages"]
     del stages[0]["layers"]
@@ -409,7 +418,7 @@ def test_empty_frame_loss_is_three_log_twos():
         "f2": Tensor(np.zeros((2, 2, 5), np.float32)),
         "f3": Tensor(np.zeros((1, 1, 5), np.float32)),
     }
-    loss = train_mod._loss(model, [preds], [[]], box_weight=1.0, huber_beta=0.1, frames=1)
+    loss = train_mod._loss(model, [preds], [[]], box_weight=1.0, huber_beta=0.1)
     np.testing.assert_allclose(loss.item(), 3.0 * LN2, rtol=1e-6)
 
 
@@ -609,29 +618,22 @@ def test_evaluate_reset_every_changes_nothing_for_stateless_fusers(tmp_path):
 # Dispatch budget: ops per streamed frame and tape nodes per training clip
 # ---------------------------------------------------------------------------
 
-def _desk_frame_ops(monkeypatch) -> list[str]:
-    """The kind of every op one streamed desk frame dispatches, in order."""
+def _desk_frame_ops() -> list[str]:
+    """The kind of every op one streamed desk frame records, in order."""
     from crossfuse.temporal import fuse_next, init_stream
 
     model = DetectionModel(normalize_config({"schema_version": 1, "seed": 0, "fuser": "mambast"}))
     rng = np.random.default_rng(0)
     rgb = Tensor(rng.random((64, 64, 3), dtype=np.float32))
     thm = Tensor(rng.random((64, 64, 1), dtype=np.float32))
-    calls = []
-    original = T.op_forward
-
-    def counting(kind, *args, **kwargs):
-        calls.append(kind)
-        return original(kind, *args, **kwargs)
-
-    monkeypatch.setattr(T, "op_forward", counting)
-    fused, _ = fuse_next(model.fusion, init_stream(model.fusion), model.backbone_forward(rgb, thm))
-    model.head_forward(fused)
-    return calls
+    with Graph() as g:
+        fused, _ = fuse_next(model.fusion, init_stream(model.fusion), model.backbone_forward(rgb, thm))
+        model.head_forward(fused)
+    return [n.kind for n in g.nodes]
 
 
-def test_desk_frame_dispatches_at_most_100_ops(monkeypatch):
-    calls = _desk_frame_ops(monkeypatch)
+def test_desk_frame_dispatches_at_most_100_ops():
+    calls = _desk_frame_ops()
     assert 0 < len(calls) <= 100, f"{len(calls)} ops per frame"
 
 
@@ -660,9 +662,17 @@ def test_acceptance_11_clip_records_at_most_300_tape_nodes(tmp_path):
     assert 0 < len(g) <= 300, f"{len(g)} tape nodes per clip"
 
 
-def test_a_training_clip_and_a_streamed_frame_record_eight_registry_kinds(tmp_path, monkeypatch):
+def test_readme_states_the_exact_dispatch_counts(tmp_path):
+    ops, nodes = len(_desk_frame_ops()), len(_acceptance_11_clip_graph(tmp_path))
+    assert (ops, nodes) == (94, 283)
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    assert f"a streamed desk frame dispatches {ops} of them" in readme
+    assert f"records {nodes} tape nodes" in readme
+
+
+def test_a_training_clip_and_a_streamed_frame_record_eight_registry_kinds(tmp_path):
     clip_kinds = {n.kind for n in _acceptance_11_clip_graph(tmp_path).nodes}
-    frame_kinds = set(_desk_frame_ops(monkeypatch))
+    frame_kinds = set(_desk_frame_ops())
     # With the fresh-import test in test_tensor, this pins the registry to
     # exactly the kinds the program records.
     assert clip_kinds | frame_kinds == set(C.PROGRAM_KINDS)
@@ -709,7 +719,7 @@ def test_loss_op_equals_composed_chain_bit_for_bit(gts, box_weight, huber_beta, 
     maps = _random_maps(np.random.default_rng(seed), model, len(gts))
 
     def fused(preds):
-        return train_mod._loss(model, preds, gts, box_weight, huber_beta, len(preds))
+        return train_mod._loss(model, preds, gts, box_weight, huber_beta)
 
     loss, grads = _loss_and_grads(fused, maps)
     loss_ref, grads_ref = _loss_and_grads(lambda preds: composed_loss(model, preds, gts), maps)
@@ -724,11 +734,11 @@ def test_frame_loss_is_one_op_and_checks_map_shapes():
     maps = _random_maps(np.random.default_rng(3), model, 1)
     preds = {stage: maps[f"p0.{stage}"] for stage in STAGE_NAMES}
     with Graph() as g:
-        train_mod._loss(model, [preds], [_LAST_CELL], box_weight=1.0, huber_beta=0.1, frames=1)
+        train_mod._loss(model, [preds], [_LAST_CELL], box_weight=1.0, huber_beta=0.1)
     assert [n.kind for n in g.nodes] == ["detection_loss"]
     preds["f2"] = Tensor(np.zeros((2, 2, 4), np.float32))
     with pytest.raises(ShapeError, match="map shape"):
-        train_mod._loss(model, [preds], [_LAST_CELL], box_weight=1.0, huber_beta=0.1, frames=1)
+        train_mod._loss(model, [preds], [_LAST_CELL], box_weight=1.0, huber_beta=0.1)
 
 
 def test_loss_op_gradients_match_finite_differences():
@@ -738,7 +748,7 @@ def test_loss_op_gradients_match_finite_differences():
 
     def f(p):
         preds = [{stage: p[f"p{i}.{stage}"] for stage in STAGE_NAMES} for i in range(2)]
-        return train_mod._loss(model, preds, gts, 3.0, 1.0, frames=2)
+        return train_mod._loss(model, preds, gts, 3.0, 1.0)
 
     report = grad_check(f, maps)
     assert report.max_rel_error < 1e-3, (
@@ -891,7 +901,8 @@ def test_load_detector_names_a_missing_config(tmp_path):
 @pytest.mark.parametrize("mutate, reason", [
     (lambda cfg: cfg["model"]["stages"][0].update(layers=None), "is not a valid config"),
     (lambda cfg: cfg.pop("model"), "does not hash to its 'config_hash'"),
-], ids=["null-layers", "no-model"])
+    (lambda cfg: cfg.update(seed=2.5), "is not a valid config"),
+], ids=["null-layers", "no-model", "float-seed"])
 def test_load_detector_names_the_checkpoint_and_key_of_a_broken_stored_config(tmp_path, mutate, reason):
     cfg = _small_mambast_cfg()
     params = DetectionModel(cfg).named_parameters()

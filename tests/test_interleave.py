@@ -16,6 +16,7 @@ from crossfuse.interleave import (
     RGB,
     THERMAL,
     OcfLayout,
+    RowIndex,
     build_layout,
     ocf_flatten,
     ocf_unflatten,
@@ -39,7 +40,7 @@ def test_order_1x2_golden():
     assert layout.order == (
         (RGB, 0, 0), (THERMAL, 0, 0), (RGB, 0, 1), (THERMAL, 0, 1),
     )
-    np.testing.assert_array_equal(layout.gather, [0, 2, 1, 3])
+    np.testing.assert_array_equal(layout.gather.index, [0, 2, 1, 3])
 
 
 def test_order_1x4_golden():
@@ -48,7 +49,7 @@ def test_order_1x4_golden():
     layout = build_layout(1, 4)
     cols = [c for (_, _, c) in layout.order[::2]]
     assert cols == [0, 2, 3, 1]
-    np.testing.assert_array_equal(layout.gather, [0, 4, 2, 6, 3, 7, 1, 5])
+    np.testing.assert_array_equal(layout.gather.index, [0, 4, 2, 6, 3, 7, 1, 5])
 
 
 def test_order_2x3_column_walk():
@@ -87,7 +88,7 @@ def test_flatten_matches_gather_of_stacked_pixels():
         [rgb.data.reshape(-1, 2), thm.data.reshape(-1, 2)], axis=0
     )
     out = ocf_flatten(rgb, thm, layout)
-    np.testing.assert_array_equal(out.data, stacked[list(layout.gather)])
+    np.testing.assert_array_equal(out.data, stacked[layout.gather.index])
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +97,7 @@ def test_flatten_matches_gather_of_stacked_pixels():
 
 def test_gather_and_scatter_are_inverse_permutations():
     layout = build_layout(5, 7)
-    gather = np.asarray(layout.gather)
-    scatter = np.asarray(layout.scatter)
+    gather, scatter = layout.gather.index, layout.scatter.index
     n = layout.tokens
     assert sorted(gather.tolist()) == list(range(n))
     np.testing.assert_array_equal(gather[scatter], np.arange(n))
@@ -147,20 +147,9 @@ def test_flatten_gradient_is_inverse_permutation():
     grads = backward(g, loss, [rgb_p])
     layout = build_layout(2, 2)
     expected = np.zeros(8, np.float32)
-    for slot, src in enumerate(layout.gather):
+    for slot, src in enumerate(layout.gather.index):
         expected[src] = slot
     np.testing.assert_array_equal(grads["p.rgb"].data.reshape(-1), expected[:4])
-
-
-def test_take_rows_duplicate_indices_accumulate():
-    # A gather that reads row 0 three times must sum three cotangents into
-    # row 0 on the way back.
-    with Graph() as g:
-        x = T.parameter(np.array([[1.0], [2.0]], np.float32), "p.x")
-        picked = op_forward("take_rows", [x], indices=(0, 0, 0, 1), width=1, shape=(4, 1))
-        loss = C.reduce_sum(picked)
-    grads = backward(g, loss, [x])
-    np.testing.assert_array_equal(grads["p.x"].data, [[3.0], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +182,32 @@ def test_unflatten_rejects_wrong_token_count():
 
 
 def test_take_rows_rejects_out_of_range_index():
-    with pytest.raises(ValueError, match="index"):
-        op_forward(
-            "take_rows",
-            [Tensor(np.zeros((2, 1), np.float32))],
-            indices=(0, 5),
-            width=1,
-            shape=(2, 1),
-        )
+    with pytest.raises(ShapeError, match="out of range for 2 rows"):
+        RowIndex((0, 5), 2)
+    with pytest.raises(ShapeError, match="out of range"):
+        RowIndex((-1, 0), 2)
+
+
+@pytest.mark.parametrize("index", [(0, 0, 1), [[0, 1]], (0.0, 1.0)])
+def test_row_index_rejects_a_repeat_or_a_malformed_index(index):
+    with pytest.raises(ShapeError, match="repeats|1-d integers"):
+        RowIndex(index, 3)
+
+
+def test_take_rows_rejects_a_source_with_the_wrong_row_count():
+    rows = RowIndex((1, 0), 2)
+    x = Tensor(np.zeros((3, 1), np.float32))
+    with pytest.raises(ShapeError, match="over 2 rows, inputs have 3"):
+        op_forward("take_rows", [x], rows=rows, width=1, shape=(2, 1))
+
+
+def test_row_index_is_a_frozen_copy():
+    source = np.array([1, 0])
+    rows = RowIndex(source, 2)
+    source[0] = 0
+    np.testing.assert_array_equal(rows.index, [1, 0])
+    with pytest.raises(ValueError, match="read-only"):
+        rows.index[0] = 0
 
 
 def test_layout_validates_dimensions():
@@ -217,7 +224,7 @@ def _chained_flatten(rgb, thm, size):
     p_rgb, p_thm = patch(rgb, size), patch(thm, size)
     rows, cols, packed = p_rgb.shape
     stacked = T.concat([C.reshape(p_rgb, (rows * cols, packed)), C.reshape(p_thm, (rows * cols, packed))], axis=0)
-    return op_forward("take_rows", (stacked,), indices=build_layout(rows, cols).gather, width=packed,
+    return op_forward("take_rows", (stacked,), rows=build_layout(rows, cols).gather, width=packed,
                       shape=(2 * rows * cols, packed))
 
 
@@ -225,7 +232,7 @@ def _chained_unflatten(tokens, rows, cols, size):
     """The unpatched unflatten as it was composed from core ops, then unpatch."""
     layout = build_layout(rows, cols)
     packed = tokens.shape[1]
-    stacked = op_forward("take_rows", (tokens,), indices=layout.scatter, width=packed,
+    stacked = op_forward("take_rows", (tokens,), rows=layout.scatter, width=packed,
                          shape=tokens.shape)
     hw = rows * cols
     halves = (T.narrow(stacked, 0, 0, hw), T.narrow(stacked, 0, hw, hw))
@@ -312,6 +319,6 @@ def test_patched_layout_gather_lists_block_pixels():
     # (the odd column) comes second.
     layout = build_layout(1, 2, 2)
     np.testing.assert_array_equal(
-        layout.gather, [0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15])
+        layout.gather.index, [0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15])
     with pytest.raises(ShapeError, match="layout"):
         ocf_flatten(*_grids(2, 2), layout)
