@@ -78,9 +78,6 @@ DEFAULT_CONFIG = {
     },
 }
 
-_STAGE_KEYS = set(DEFAULT_CONFIG["model"]["stages"][0])
-
-
 def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
@@ -94,22 +91,42 @@ def _json_kind(value) -> str:
     return next((kind for kind, types in _JSON_KINDS if isinstance(value, types)), type(value).__name__)
 
 
+def _check_kind(default, value, source: str, key: str) -> None:
+    """Raise unless ``value`` is of ``default``'s JSON kind, and an integer where
+    it is; an array's items are checked against the default's first item."""
+    want = _json_kind(default)
+    if _json_kind(value) != want:
+        raise ValueError(f"{source}: config key '{key}' must be {want}, got {type(value).__name__}")
+    if isinstance(default, int) and not isinstance(value, int):
+        raise ValueError(f"{source}: config key '{key}' must be an integer, got {value!r}")
+    if isinstance(default, list):
+        for j, item in enumerate(value):
+            _check_kind(default[0], item, source, f"{key}[{j}]")
+
+
 def _merge(base: dict, override: dict, source: str, path: str = "") -> dict:
     unknown = [f"{path}{key}" for key in override if key not in base]
     if unknown:
         raise ValueError(f"{source}: unknown config keys {unknown}")
     out = copy.deepcopy(base)
     for key, value in override.items():
-        want = _json_kind(out[key])
-        if _json_kind(value) != want:
-            raise ValueError(f"{source}: config key '{path}{key}' must be {want}, got {type(value).__name__}")
-        if isinstance(out[key], int) and not isinstance(value, int):
-            raise ValueError(f"{source}: config key '{path}{key}' must be an integer, got {value!r}")
+        _check_kind(out[key], value, source, f"{path}{key}")
         if isinstance(value, dict):  # and so is the default, by the kind check above
             out[key] = _merge(out[key], value, source, f"{path}{key}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _check_stages(stages: list, source: str) -> None:
+    """Each ``model.stages`` entry has exactly the default entry's keys, each of its kind."""
+    default = DEFAULT_CONFIG["model"]["stages"][0]
+    for i, entry in enumerate(stages):
+        for problem, keys in (("unknown", set(entry) - set(default)), ("missing", set(default) - set(entry))):
+            if keys:
+                raise ValueError(f"model.stages[{i}]: {problem} keys {sorted(keys)}")
+        for key, want in default.items():
+            _check_kind(want, entry[key], source, f"model.stages[{i}].{key}")
 
 
 def load_config(path) -> dict:
@@ -123,6 +140,7 @@ def normalize_config(raw: dict, source: str = "<dict>") -> dict:
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{source}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
     cfg = _merge(DEFAULT_CONFIG, raw, source)
+    _check_stages(cfg["model"]["stages"], source)
     if cfg["fuser"] not in FUSER_NAMES:
         raise ValueError(f"{source}: unknown fuser {cfg['fuser']!r}")
     # Fail early on inconsistent fusion geometry.
@@ -142,13 +160,7 @@ def stage_configs_from(cfg: dict) -> list[StageConfig]:
     model = cfg["model"]
     widths = backbone_widths(cfg)
     out = []
-    for i, entry in enumerate(model["stages"]):
-        unknown = sorted(set(entry) - _STAGE_KEYS)
-        if unknown:
-            raise ValueError(f"model.stages[{i}]: unknown keys {unknown}")
-        missing = sorted(_STAGE_KEYS - set(entry))
-        if missing:
-            raise ValueError(f"model.stages[{i}]: missing keys {missing}")
+    for entry in model["stages"]:
         name = entry["stage"]
         if name not in STAGE_NAMES:
             raise ValueError(f"unknown stage {name!r}, expected one of {STAGE_NAMES}")

@@ -79,12 +79,11 @@ def build_targets(
 
 
 def _map_loss_fwd(p, obj_t, box_t, mask, box_weight, beta):
-    """One prediction map's loss terms, in the order its composed chain added them.
+    """One prediction map's loss terms: objectness, then boxes if it has any.
 
     The objectness term is mean(softplus(obj) - obj_t * obj); with n_pos
     boxes the box term is box_weight / n_pos times the masked huber sums of
-    sigmoid(txy) - xy targets and twh - wh targets, the sigmoid composed as
-    exp(x - softplus(x)).
+    sigmoid(txy) - xy targets and twh - wh targets.
     """
     txy, twh, obj = (np.ascontiguousarray(p[:, :, a:b]) for a, b in ((0, 2), (2, 4), (4, 5)))
     sp_obj, _ = T._softplus_fwd(obj)
@@ -93,12 +92,12 @@ def _map_loss_fwd(p, obj_t, box_t, mask, box_weight, beta):
     ctx = {"shape": p.shape, "obj": obj, "obj_t": obj_t, "n": obj.size, "n_pos": n_pos}
     if n_pos == 0:
         return [obj_loss], ctx
-    sig = np.exp(txy - T._softplus_fwd(txy)[0])
+    sig = T._sigmoid_np(txy)
     h_xy, ctx["h_xy"] = _huber_fwd(sig - box_t[:, :, 0:2], beta)
     h_wh, ctx["h_wh"] = _huber_fwd(twh - box_t[:, :, 2:4], beta)
     mask2 = np.repeat(mask, 2, axis=2)
     box_sum = (h_xy * mask2).sum() + (h_wh * mask2).sum()
-    ctx.update(txy=txy, sig=sig, mask2=mask2, scale=np.asarray(box_weight / n_pos, dtype=box_sum.dtype))
+    ctx.update(sig=sig, mask2=mask2, scale=np.asarray(box_weight / n_pos, dtype=box_sum.dtype))
     return [obj_loss, box_sum * ctx["scale"]], ctx
 
 
@@ -113,10 +112,8 @@ def _map_loss_bwd(ctx, g):
     g_masked = (g * ctx["scale"]) * ctx["mask2"]         # both huber sums' adjoint
     g_p[:, :, 2:4], = _huber_bwd(ctx["h_wh"], g_masked)
     g_z = _huber_bwd(ctx["h_xy"], g_masked)[0] * ctx["sig"]
-    g_p[:, :, 0:2] = g_z - g_z * T._sigmoid_np(ctx["txy"])
-    # The chain summed three zero-padded slice gradients, which turns every
-    # -0.0 into +0.0; adding zero does the same.
-    return np.add(g_p, 0.0, out=g_p)
+    g_p[:, :, 0:2] = g_z - g_z * ctx["sig"]
+    return g_p
 
 
 def _loss_fwd(*maps, targets=(), box_weight=1.0, huber_beta=1.0):
@@ -125,7 +122,7 @@ def _loss_fwd(*maps, targets=(), box_weight=1.0, huber_beta=1.0):
     ``maps`` are the prediction maps frame by frame, each frame's stages in
     ``STAGE_NAMES`` order, and ``targets`` their (objectness, box, mask)
     target maps. A frame's loss is its terms summed in order, and the frame
-    losses are summed in order before the mean, as the composed chain did.
+    losses are summed in order before the mean.
     """
     if not maps or len(maps) != len(targets) or len(maps) % len(STAGE_NAMES):
         raise ShapeError(f"detection_loss: {len(maps)} maps for {len(targets)} targets "

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import SCHEMA_VERSION, normalize_config, stage_configs_from
 from .fusion import StageConfig
 from .ssm import default_dt_rank
 
@@ -219,20 +220,12 @@ def render_table(report: ProfileReport) -> str:
 
 
 def full_scale_configs(layers: int = 8) -> list[StageConfig]:
-    """Full-scale stage geometry for a 640x640 input: feature maps at
-    strides 8/16/32 with widths 4D/8D/16D for D = 64, four patch scales on
-    the first stage and one on the rest."""
-    return [
-        StageConfig(
-            name="f1", height=80, width=80, channels=4 * 64,
-            heads=4, patch_sizes=(1, 2, 4, 8), layers=layers,
-        ),
-        StageConfig(
-            name="f2", height=40, width=40, channels=8 * 64,
-            heads=1, patch_sizes=(1,), layers=layers,
-        ),
-        StageConfig(
-            name="f3", height=20, width=20, channels=16 * 64,
-            heads=1, patch_sizes=(1,), layers=layers,
-        ),
-    ]
+    """Full-scale stage geometry: a 640x640 input with ``d_factor`` 64, four
+    heads of patch sizes 1, 2, 4 and 8 on f1, one of size 1 on f2 and f3."""
+    stages = [{"stage": "f1", "heads": 4, "patch_sizes": [1, 2, 4, 8], "layers": layers}]
+    stages += [{"stage": name, "heads": 1, "patch_sizes": [1], "layers": layers} for name in ("f2", "f3")]
+    return stage_configs_from(normalize_config({
+        "schema_version": SCHEMA_VERSION,
+        "data": {"height": 640, "width": 640},
+        "model": {"d_factor": 64, "stages": stages},
+    }))

@@ -23,9 +23,7 @@ to run while a ``Graph`` records.
 
 A gated residual block is likewise one op, ``mamba_block``: layer norm, the
 in-projection, the causal conv, silu, the scan, the silu gate and the
-residual output projection. Both ops do the arithmetic of the chains of core
-ops they replaced, in the same order, so they keep those chains' results bit
-for bit.
+residual output projection.
 """
 
 from __future__ import annotations
@@ -177,16 +175,15 @@ def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
     delta, c_delta = T._softplus_fwd(up + dt_bias)
     e_a = np.exp(a_log)                                 # A = -e_a, (C, N)
     h_all, c_scan = _recurrence_fwd(x, delta, b_seq, -e_a, state0)
-    y = (h_all * w_out).sum(axis=-1)                    # (L, C)
+    y = np.einsum("lcn,cn->lc", h_all, w_out)
     ctx = {"b": c_b, "low": c_low, "up": c_up, "delta": c_delta, "e_a": e_a, "w_out": w_out,
            "scan": c_scan}
     return y, ctx
 
 
 def _scan_bwd(ctx, g):
-    g_col = g[:, :, None]                               # (L, C, 1)
-    g_w_out = (g_col * ctx["scan"]["h_all"]).sum(axis=0)
-    g_x, g_delta, g_b, g_a = _recurrence_bwd(ctx["scan"], g_col * ctx["w_out"])
+    g_w_out = np.einsum("lc,lcn->cn", g, ctx["scan"]["h_all"])
+    g_x, g_delta, g_b, g_a = _recurrence_bwd(ctx["scan"], g[:, :, None] * ctx["w_out"])
     g_pre, = T._softplus_bwd(ctx["delta"], g_delta)
     g_low, g_dt_up = T._linear_bwd(ctx["up"], g_pre)
     g_x_delta, g_dt_down = T._linear_bwd(ctx["low"], g_low)

@@ -1,10 +1,11 @@
-"""The chains of core ops that the fused ``mamba_block`` and ``detection_loss``
-ops replace, kept as bit-for-bit oracles for ``test_ssm`` and ``test_harness``.
+"""The chain of core ops that the fused ``mamba_block`` op replaces, kept as a
+bit-for-bit oracle for ``test_ssm`` and ``test_harness``, and the core ops
+that tests build their probes from.
 
-Each function records one tape node per core op, as the program did before
-the ops were fused. The fused ops do the same arithmetic in the same order
-inline, so their forwards and adjoints can be checked against these chains
-bit for bit.
+``composed_block`` records one tape node per core op, as the program did
+before the block was fused. The block does the same arithmetic in the same
+order inline, and both call the one scan kernel, so its forward and adjoint
+can be checked against the chain bit for bit.
 
 The program records none of the chains' elementwise, normalisation and
 reduction ops, so the engine's registry does not hold them. This module
@@ -25,8 +26,7 @@ import numpy as np
 
 from crossfuse import ssm as ssm_mod
 from crossfuse import tensor as T
-from crossfuse.config import STAGE_NAMES, STAGE_STRIDES
-from crossfuse.harness.train import _huber_bwd, _huber_fwd, build_targets
+from crossfuse.harness.train import _huber_bwd, _huber_fwd
 from crossfuse.tensor import Tensor, op_forward, register_op
 
 
@@ -163,12 +163,6 @@ def exp(x: Tensor) -> Tensor:
     return op_forward("exp", (x,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Composed as exp(x - softplus(x)), which is stable for any x."""
-    neg = scale(softplus(x), -1.0)
-    return exp(T.add(x, neg))
-
-
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
     return op_forward("reduce_sum", (x,), axis=axis)
 
@@ -206,49 +200,3 @@ def composed_block(block: ssm_mod.MambaBlockParams, tokens: Tensor) -> Tensor:
     mixed = mul(y, g)
     out = T.linear(mixed, block.out_w, block.out_b)
     return T.add(tokens, out)
-
-
-def _bce_with_logits_mean(logits: Tensor, target: Tensor) -> Tensor:
-    # softplus(z) - t*z == -[t*log(sig(z)) + (1-t)*log(1-sig(z))]
-    return reduce_mean(T.add(softplus(logits), scale(mul(target, logits), -1.0)))
-
-
-def composed_frame_loss(preds, gts, model, box_weight: float, huber_beta: float) -> Tensor:
-    """One frame's ``detection_loss`` as its chain of narrows, elementwise ops and sums."""
-    anchors = model.cfg["model"]["anchors"]
-    terms = []
-    for stage in STAGE_NAMES:
-        p = preds[stage]
-        hs, ws = model.stage_shape(stage)
-        obj_t, box_t, mask = build_targets(gts, (hs, ws), STAGE_STRIDES[stage], anchors[stage])
-        n_pos = float(mask.sum())
-
-        txy = T.narrow(p, 2, 0, 2)
-        twh = T.narrow(p, 2, 2, 2)
-        obj = T.narrow(p, 2, 4, 1)
-
-        obj_loss = _bce_with_logits_mean(obj, Tensor(obj_t))
-        terms.append(obj_loss)
-        if n_pos > 0:
-            mask2 = Tensor(np.repeat(mask, 2, axis=2))
-            d_xy = T.add(sigmoid(txy), Tensor(-box_t[:, :, 0:2]))
-            d_wh = T.add(twh, Tensor(-box_t[:, :, 2:4]))
-            box_sum = T.add(
-                reduce_sum(mul(huber(d_xy, huber_beta), mask2)),
-                reduce_sum(mul(huber(d_wh, huber_beta), mask2)),
-            )
-            terms.append(scale(box_sum, box_weight / n_pos))
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return total
-
-
-def composed_loss(model, preds, gts_per_frame) -> Tensor:
-    """The mean of ``composed_frame_loss`` over a clip's prediction maps."""
-    train_cfg = model.cfg["train"]
-    total = None
-    for pred, gts in zip(preds, gts_per_frame):
-        fl = composed_frame_loss(pred, gts, model, train_cfg["box_weight"], train_cfg["huber_beta"])
-        total = fl if total is None else T.add(total, fl)
-    return scale(total, 1.0 / len(preds))

@@ -179,6 +179,7 @@ def test_full_scale_configs_shape():
     assert configs[0].patch_sizes == (1, 2, 4, 8)
     assert configs[1].patch_sizes == (1,)
     assert all(c.layers == 8 for c in configs)
+    assert all((c.state_size, c.conv_kernel, c.expand, c.dt_rank) == (16, 4, 2, None) for c in configs)
 
 
 def test_full_scale_counts_are_reported_not_enforced():

@@ -3,9 +3,11 @@
 The scan is checked three independent ways: hand-derived impulse values,
 a float64 reference recurrence written here from the update equations, and
 token-at-a-time folding with ``scan_step``. Its kernel and adjoint are also
-checked bit for bit against the chain of core ops they replace, through the
-``ssm_scan`` kind that ``composed`` registers: ``scan_sequence`` and
-``scan_step`` run unrecorded and have no gradients of their own.
+checked against the chain of core ops they replace, through the ``ssm_scan``
+kind that ``composed`` registers: the readout and its ``w_out`` gradient
+against the chain run in float64, everything else bit for bit.
+``scan_sequence`` and ``scan_step`` run unrecorded and have no gradients of
+their own.
 """
 
 import math
@@ -467,12 +469,30 @@ def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
     h_all = T.op_forward("test_recurrence", (tokens, delta, b_seq, a, state0.h))
     y = C.reduce_sum(C.mul(h_all, params.w_out), axis=-1)
     last = C.reshape(T.narrow(h_all, 0, length - 1, 1), (channels, params.state_size))
-    return y, SSMState(last)
+    return y, SSMState(last), h_all
 
 
 def _assert_same_bits(got, want, what):
     assert got.dtype == want.dtype and got.shape == want.shape, what
     assert np.array_equal(got, want), f"{what}: max diff {np.abs(got - want).max()}"
+
+
+def _to_float64(params: SSMParams) -> SSMParams:
+    return SSMParams(*(T.parameter(t.data.astype(np.float64), t.name) for _, _, t in walk_parameters(params)))
+
+
+def _assert_close(got, want, magnitude, what):
+    """float32 ``got`` within SCAN_TOL of the float64 ``want``, scaled by the
+    largest ``magnitude``: the sum of the absolute products that make an entry,
+    so that cancellation in a sum does not blow the scale down."""
+    assert got.dtype == np.float32 and got.shape == want.shape == magnitude.shape, what
+    err = np.abs(got - want).max() / max(magnitude.max(), 1e-30)
+    assert err <= SCAN_TOL, f"{what}: scaled error {err:.3e}"
+
+
+# The worst scaled error of y, the taped y and the w_out gradient was 1.8e-6
+# over 3 runs of 3000 examples of the strategy below.
+SCAN_TOL = 1e-5
 
 
 @settings(max_examples=30, deadline=None)
@@ -484,30 +504,47 @@ def _assert_same_bits(got, want, what):
     carry=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_fused_scan_equals_composed_chain_bit_for_bit(channels, state, rank, length, carry, seed):
+def test_fused_scan_matches_the_composed_chain(channels, state, rank, length, carry, seed):
+    """The readout y = sum_n w_out h and its w_out gradient against the chain
+    in float64, and every other output bit for bit against the float32 chain."""
     rng = np.random.default_rng(seed)
     params = _random_params(rng, channels, state, rank)
     tokens = T.parameter(rng.normal(0, 1.0, (length, channels)).astype(np.float32), "s.x")
     h0 = SSMState(Tensor(rng.normal(0, 0.5, (channels, state)).astype(np.float32))) if carry else None
-    w_y = Tensor(rng.normal(size=(length, channels)).astype(np.float32))
+    w_y = rng.normal(size=(length, channels)).astype(np.float32)
+    params64 = _to_float64(params)
+    tokens64 = T.parameter(tokens.data.astype(np.float64), "s.x")
+
+    def assert_readout_close(y, state0, what):
+        y64, _, h64 = _composed_scan(params64, tokens64, state0)
+        magnitude = np.einsum("lcn,cn->lc", np.abs(h64.data), np.abs(params64.w_out.data))
+        _assert_close(y.data, y64.data, magnitude, what)
+        return h64.data
 
     y, last = scan_sequence(params, tokens, h0)
-    y_ref, last_ref = _composed_scan(params, tokens, h0)
-    _assert_same_bits(y.data, y_ref.data, "y")
-    _assert_same_bits(last.h.data, last_ref.h.data, "final state")
+    assert_readout_close(y, None if h0 is None else SSMState(Tensor(h0.h.data.astype(np.float64))), "y")
+    _assert_same_bits(last.h.data, _composed_scan(params, tokens, h0)[1].h.data, "final state")
 
-    def run(scan):
+    def run(scan, params, tokens):
         with Graph() as g:
             y = scan(params, tokens)
-            loss = C.reduce_sum(C.mul(y, w_y))
+            loss = C.reduce_sum(C.mul(y, Tensor(w_y.astype(tokens.dtype))))
         return y, backward(g, loss, [t for _, _, t in walk_parameters(params)] + [tokens])
 
-    y, grads = run(C.scan)
-    y_ref, grads_ref = run(lambda p, x: _composed_scan(p, x)[0])
-    _assert_same_bits(y.data, y_ref.data, "taped y")
-    assert sorted(grads) == sorted(grads_ref)
+    def composed(p, x):
+        return _composed_scan(p, x)[0]
+
+    y, grads = run(C.scan, params, tokens)
+    _, grads_ref = run(composed, params, tokens)
+    _, grads64 = run(composed, params64, tokens64)
+    h64 = assert_readout_close(y, None, "taped y")
+    assert sorted(grads) == sorted(grads_ref) == sorted(grads64)
     for name in grads:
-        _assert_same_bits(grads[name].data, grads_ref[name].data, name)
+        if name == "s.w_out":
+            magnitude = np.einsum("lc,lcn->cn", np.abs(w_y.astype(np.float64)), np.abs(h64))
+            _assert_close(grads[name].data, grads64[name].data, magnitude, name)
+        else:
+            _assert_same_bits(grads[name].data, grads_ref[name].data, name)
 
 
 def test_block_scan_is_one_op_and_matches_the_sequence_scan():
