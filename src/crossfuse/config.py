@@ -3,8 +3,9 @@
 The file must carry ``schema_version: 1``. A key the defaults do not have,
 at any level and in any ``model.stages`` entry, is rejected so typos fail
 loudly, as are a value of another JSON kind than its default's, a
-non-integer where the default is an integer, and a stage entry missing a
-key. Runs are seeded by the config's ``seed``.
+non-integer where the default is an integer, a stage entry missing a key,
+and a value outside its interval in ``RANGES``. Runs are seeded by the
+config's ``seed``.
 """
 
 from __future__ import annotations
@@ -78,6 +79,19 @@ DEFAULT_CONFIG = {
     },
 }
 
+# Allowed interval of each key that no later check covers when a stored config
+# loads, as its consumer enforces it: data.frames as SyntheticClipSpec does,
+# train.lr and train.momentum as SGD does (lr also finite), eval.iou_threshold
+# as match_frame does, and eval.confidence_floor as a probability.
+RANGES = {
+    "data.frames": "[1, inf)",
+    "train.lr": "[0, inf)",
+    "train.momentum": "[0, 1)",
+    "eval.confidence_floor": "[0, 1]",
+    "eval.iou_threshold": "(0, 1]",
+}
+
+
 def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
@@ -129,6 +143,17 @@ def _check_stages(stages: list, source: str) -> None:
             _check_kind(want, entry[key], source, f"model.stages[{i}].{key}")
 
 
+def _check_ranges(cfg: dict, source: str) -> None:
+    for key, interval in RANGES.items():
+        section, name = key.split(".")
+        value = cfg[section][name]
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        above = low <= value if interval[0] == "[" else low < value
+        below = value <= high if interval[-1] == "]" else value < high
+        if not (above and below):
+            raise ValueError(f"{source}: config key '{key}' must be in {interval}, got {value!r}")
+
+
 def load_config(path) -> dict:
     """Read a config file, fill defaults and validate."""
     with open(path) as fp:
@@ -141,6 +166,7 @@ def normalize_config(raw: dict, source: str = "<dict>") -> dict:
         raise ValueError(f"{source}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
     cfg = _merge(DEFAULT_CONFIG, raw, source)
     _check_stages(cfg["model"]["stages"], source)
+    _check_ranges(cfg, source)
     if cfg["fuser"] not in FUSER_NAMES:
         raise ValueError(f"{source}: unknown fuser {cfg['fuser']!r}")
     # Fail early on inconsistent fusion geometry.

@@ -20,19 +20,22 @@ solve and a single-frame model cannot.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..tensor import Tensor
 from ..tensorio import load_tensor, save_tensor
-from ..metrics import Box, read_boxes_jsonl, write_boxes_jsonl
+from ..metrics import Box
 
 __all__ = ["SyntheticClipSpec", "RenderParams", "gen_clips", "load_dataset", "Clip", "Dataset"]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
+_BOX_KEYS = frozenset(("x", "y", "w", "h"))
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,23 @@ class SyntheticClipSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticClipSpec":
-        return cls(**d)
+        """Inverse of ``to_dict``: exactly the fields, each of its default's
+        JSON kind (a float field also takes an integer); ``__post_init__``
+        then checks the ranges. Errors name the key as ``spec.<field>``."""
+        if type(d) is not dict:
+            raise ValueError(f"spec: must be an object, got {type(d).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        for problem, keys in (("unknown", d.keys() - defaults.keys()), ("missing", defaults.keys() - d.keys())):
+            if keys:
+                raise ValueError(f"spec: {problem} keys {sorted(keys)}")
+        for name, default in defaults.items():
+            kinds = (int, float) if type(default) is float else (type(default),)
+            if type(d[name]) not in kinds:
+                raise ValueError(f"spec.{name}: must be {_KIND_NAMES[kinds[0]]}, got {d[name]!r}")
+        try:
+            return cls(**d)
+        except ValueError as e:
+            raise ValueError(f"spec: {e}") from None
 
 
 @dataclass
@@ -166,7 +185,8 @@ def gen_clips(spec: SyntheticClipSpec, count: int, out_dir) -> dict:
         out_dir/manifest.json
         out_dir/clips/<clip_id>/f<i>.rgb.tnsr
         out_dir/clips/<clip_id>/f<i>.thm.tnsr
-        out_dir/clips/<clip_id>/gt.jsonl
+
+    Each frame's ground-truth boxes sit in its manifest entry.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -191,20 +211,16 @@ def gen_clips(spec: SyntheticClipSpec, count: int, out_dir) -> dict:
             speed = rng.uniform(0, spec.blob_speed_max)
             blobs.append(_Blob(x=x, y=y, w=bw, h=bh, vx=speed * np.cos(angle), vy=speed * np.sin(angle)))
         frames = []
-        gt_rows: dict[str, list[Box]] = {}
         for fi in range(spec.frames):
             occluded = spec.occlusion == "last_frame" and fi == spec.frames - 1
             rgb, thm, boxes = _render_frame(spec, render, blobs, fi * spec.stride, rng, occluded)
-            frame_id = f"{clip_id}/f{fi}"
             rgb_rel = f"clips/{clip_id}/f{fi}.rgb.tnsr"
             thm_rel = f"clips/{clip_id}/f{fi}.thm.tnsr"
             save_tensor(root / rgb_rel, Tensor(rgb))
             save_tensor(root / thm_rel, Tensor(thm))
-            frames.append({"frame_id": frame_id, "rgb": rgb_rel, "thermal": thm_rel})
-            gt_rows[frame_id] = boxes
-        gt_rel = f"clips/{clip_id}/gt.jsonl"
-        write_boxes_jsonl(root / gt_rel, gt_rows)
-        manifest_clips.append({"id": clip_id, "tag": spec.illumination, "frames": frames, "gt": gt_rel})
+            frames.append({"frame_id": f"{clip_id}/f{fi}", "rgb": rgb_rel, "thermal": thm_rel,
+                           "boxes": [b.to_dict() for b in boxes]})
+        manifest_clips.append({"id": clip_id, "tag": spec.illumination, "frames": frames})
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
         "spec": spec.to_dict(),
@@ -217,18 +233,99 @@ def gen_clips(spec: SyntheticClipSpec, count: int, out_dir) -> dict:
     return manifest
 
 
-def load_dataset(root) -> Dataset:
-    root = Path(root)
-    path = root / MANIFEST_NAME
-    if not path.exists():
-        raise FileNotFoundError(f"{root} has no {MANIFEST_NAME}")
-    with open(path) as fp:
-        manifest = json.load(fp)
-    if manifest.get("schema_version") != MANIFEST_SCHEMA:
-        raise ValueError(f"unsupported dataset schema {manifest.get('schema_version')!r}")
-    spec = SyntheticClipSpec.from_dict(manifest["spec"])
-    clips = []
-    for row in manifest["clips"]:
-        gt = read_boxes_jsonl(root / row["gt"])
+def _manifest_error(at: str, problem: str) -> ValueError:
+    return ValueError(f"{MANIFEST_NAME}: {at}: {problem}")
+
+
+def _row_error(row, at: str, kinds: tuple) -> ValueError:
+    """The error for a manifest row that failed its check: not an object, or a
+    key of ``kinds`` ((key, type), ...) missing or of another type."""
+    if type(row) is not dict:
+        return _manifest_error(at, f"must be an object, got {type(row).__name__}")
+    for key, kind in kinds:
+        if key not in row:
+            return _manifest_error(f"{at}.{key}", "missing")
+        if type(row[key]) is not kind:
+            return _manifest_error(f"{at}.{key}", f"must be {_KIND_NAMES[kind]}, got {type(row[key]).__name__}")
+    raise AssertionError(f"{at} passes its check")
+
+
+_CLIP_KINDS = (("id", str), ("tag", str), ("frames", list))
+_FRAME_KINDS = (("frame_id", str), ("rgb", str), ("thermal", str), ("boxes", list))
+_NUMBER = frozenset((int, float))
+
+
+def _box_error(b, at: str) -> ValueError:
+    if type(b) is not dict or b.keys() != _BOX_KEYS:
+        return _manifest_error(at, "must be an object with exactly the keys x, y, w, h")
+    for key in ("x", "y", "w", "h"):
+        v = b[key]
+        if type(v) not in _NUMBER or not -math.inf < v < math.inf:
+            return _manifest_error(f"{at}.{key}", f"must be a finite number, got {v!r}")
+        if key in ("w", "h") and v <= 0:
+            return _manifest_error(f"{at}.{key}", f"must be > 0, got {v!r}")
+    raise AssertionError(f"{at} passes its check")
+
+
+def _read_clips(rows) -> list[Clip]:
+    """Check the manifest's clip rows and build each clip's ground truth.
+
+    The checks are written inline and build their error only on failure,
+    because this loop runs once per frame and once per box.
+    """
+    if type(rows) is not list or not rows:
+        raise _manifest_error("clips", "must be a non-empty list")
+    clips, seen, inf = [], set(), math.inf
+    for ci, row in enumerate(rows):
+        if not (type(row) is dict and type(row.get("id")) is str and type(row.get("tag")) is str
+                and type(row.get("frames")) is list):
+            raise _row_error(row, f"clips[{ci}]", _CLIP_KINDS)
+        if not row["frames"]:
+            raise _manifest_error(f"clips[{ci}].frames", "must not be empty")
+        gt = {}
+        for fi, frame in enumerate(row["frames"]):
+            if not (type(frame) is dict and type(frame.get("frame_id")) is str and type(frame.get("rgb")) is str
+                    and type(frame.get("thermal")) is str and type(frame.get("boxes")) is list):
+                raise _row_error(frame, f"clips[{ci}].frames[{fi}]", _FRAME_KINDS)
+            frame_id = frame["frame_id"]
+            if frame_id in seen:
+                raise _manifest_error(f"clips[{ci}].frames[{fi}].frame_id", f"repeats {frame_id!r}")
+            seen.add(frame_id)
+            boxes = gt[frame_id] = frame.pop("boxes")  # each row is replaced by its Box
+            for bi, b in enumerate(boxes):
+                if type(b) is dict and b.keys() == _BOX_KEYS:
+                    x, y, w, h = b["x"], b["y"], b["w"], b["h"]
+                    if (type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER and type(h) in _NUMBER
+                            and -inf < x < inf and -inf < y < inf and 0 < w < inf and 0 < h < inf):
+                        boxes[bi] = Box(x, y, w, h)
+                        continue
+                raise _box_error(b, f"clips[{ci}].frames[{fi}].boxes[{bi}]")
         clips.append(Clip(clip_id=row["id"], tag=row["tag"], frames=row["frames"], gt=gt))
-    return Dataset(root=root, spec=spec, clips=clips)
+    return clips
+
+
+def load_dataset(root) -> Dataset:
+    """Read ``manifest.json``, the one file opened here, and check it whole.
+
+    A problem raises ``ValueError`` naming the file and the key path, such as
+    ``clips[3].frames[1].boxes[0].w``. Frame files are not opened until
+    ``load_frame``.
+    """
+    root = Path(root)
+    try:
+        with open(root / MANIFEST_NAME) as fp:
+            manifest = json.load(fp)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{root} has no {MANIFEST_NAME}") from None
+    except ValueError as e:
+        raise ValueError(f"{MANIFEST_NAME}: bad JSON ({e})") from None
+    if type(manifest) is not dict:
+        raise _manifest_error("<root>", f"must be an object, got {type(manifest).__name__}")
+    if manifest.get("schema_version") != MANIFEST_SCHEMA:
+        raise ValueError(f"{MANIFEST_NAME}: unsupported dataset schema {manifest.get('schema_version')!r}, "
+                         f"expected {MANIFEST_SCHEMA}; regenerate the dataset with `crossfuse gen`")
+    try:
+        spec = SyntheticClipSpec.from_dict(manifest.get("spec"))
+    except ValueError as e:
+        raise ValueError(f"{MANIFEST_NAME}: {e}") from None
+    return Dataset(root=root, spec=spec, clips=_read_clips(manifest.get("clips")))

@@ -412,10 +412,12 @@ def _layer_norm_fwd(x, gamma, beta, eps=1e-5):
         raise ShapeError(
             f"layer_norm: gamma {gamma.shape} / beta {beta.shape} must be ({d},) for input {x.shape}"
         )
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True, mean=mean)
+    # The ufunc calls that ndarray.mean and ndarray.var(mean=) make, without
+    # their dispatch: a sum over the last axis, divided by its length.
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
+    xhat = centred * inv
     y = xhat * gamma + beta
     return y, {"xhat": xhat, "inv": inv, "gamma": gamma}
 
@@ -424,10 +426,11 @@ def _layer_norm_bwd(ctx, g):
     xhat, inv, gamma = ctx["xhat"], ctx["inv"], ctx["gamma"]
     gg = g * gamma
     axes = tuple(range(g.ndim - 1))
-    dgamma = (g * xhat).sum(axis=axes)
-    dbeta = g.sum(axis=axes)
-    m1 = gg.mean(axis=-1, keepdims=True)
-    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    d = g.shape[-1]
+    dgamma = np.add.reduce(g * xhat, axis=axes)
+    dbeta = np.add.reduce(g, axis=axes)
+    m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
     dx = inv * (gg - m1 - xhat * m2)
     return dx, dgamma, dbeta
 

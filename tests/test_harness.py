@@ -4,9 +4,12 @@ Everything runs at 32x32 with one or two blobs so the whole file stays in
 the sub-second range per test.
 """
 
+import builtins
 import importlib
+import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from crossfuse import ssm as ssm_mod
 from crossfuse import tensor as T
 from crossfuse.config import (
+    RANGES,
     STAGE_NAMES,
     STAGE_STRIDES,
     config_model_hash,
@@ -187,18 +191,113 @@ def test_load_dataset_missing_manifest(tmp_path):
         load_dataset(tmp_path / "nowhere")
 
 
-@pytest.mark.parametrize("edit, error", [
-    (lambda lines: lines + lines[:1], r"gt\.jsonl:3: duplicate frame_id"),
-    (lambda lines: lines[:1] + ['{"frame_id": "clip0000/f1"}\n'], r"gt\.jsonl:2: rows need frame_id and boxes"),
-])
-def test_load_dataset_rejects_a_bad_gt_line(tmp_path, edit, error):
+def _small_dataset(tmp_path, clips=1):
     spec = SyntheticClipSpec(seed=3, frames=2, height=32, width=32,
-                             blob_size_min=8, blob_size_max=12)
-    gen_clips(spec, 1, tmp_path)
-    gt_path = tmp_path / "clips" / "clip0000" / "gt.jsonl"
-    gt_path.write_text("".join(edit(gt_path.read_text().splitlines(keepends=True))))
-    with pytest.raises(ValueError, match=error):
+                             blob_count_min=1, blob_count_max=2, blob_size_min=8, blob_size_max=12)
+    return gen_clips(spec, clips, tmp_path)
+
+
+def _write_manifest(root, manifest):
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def test_gen_writes_the_manifest_and_two_frame_files_only(tmp_path):
+    _small_dataset(tmp_path, clips=3)
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) == 1 + 2 * 3 * 2
+    assert sorted({p.suffix for p in files}) == [".json", ".tnsr"]
+
+
+def test_load_dataset_opens_the_manifest_and_nothing_else(tmp_path, monkeypatch):
+    _small_dataset(tmp_path, clips=2)
+    opened, statted = [], []
+    for owner, name, log in ((builtins, "open", opened), (io, "open", opened), (os, "stat", statted)):
+        def counting(path, *args, _original=getattr(owner, name), _log=log, **kwargs):
+            _log.append(str(path))
+            return _original(path, *args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    ds = load_dataset(tmp_path)
+    monkeypatch.undo()
+    assert opened == [str(tmp_path / "manifest.json")]
+    assert not [p for p in statted if "clips" in p]
+    assert len(ds.clips) == 2 and all(len(clip.gt) == 2 for clip in ds.clips)
+
+
+def test_loaded_boxes_equal_the_generated_ones_bit_for_bit(tmp_path):
+    manifest = _small_dataset(tmp_path, clips=4)
+    ds = load_dataset(tmp_path)
+    want = {frame["frame_id"]: [[float.hex(float(b[k])) for k in "xywh"] for b in frame["boxes"]]
+            for row in manifest["clips"] for frame in row["frames"]}
+    got = {frame_id: [[float.hex(v) for v in (b.x, b.y, b.w, b.h)] for b in boxes]
+           for clip in ds.clips for frame_id, boxes in clip.gt.items()}
+    assert got == want and sum(map(len, got.values())) > 8
+    assert [set(f) for clip in ds.clips for f in clip.frames] == [{"frame_id", "rgb", "thermal"}] * 8
+
+
+def test_load_dataset_refuses_a_schema_1_dataset(tmp_path):
+    manifest = _small_dataset(tmp_path)
+    _write_manifest(tmp_path, dict(manifest, schema_version=1))
+    with pytest.raises(ValueError, match=r"manifest\.json: unsupported dataset schema 1, expected 2; "
+                                         r"regenerate the dataset with `crossfuse gen`"):
         load_dataset(tmp_path)
+
+
+def _repeat_frame_id(manifest):
+    frames = manifest["clips"][0]["frames"]
+    frames[1]["frame_id"] = frames[0]["frame_id"]
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_repeat_frame_id, r"clips\[0\]\.frames\[1\]\.frame_id: repeats 'clip0000/f0'"),
+    (lambda m: m["clips"][0]["frames"][1].pop("boxes"), r"clips\[0\]\.frames\[1\]\.boxes: missing"),
+    (lambda m: m["clips"][0]["frames"][1]["boxes"][0].update(w=-1.0),
+     r"clips\[0\]\.frames\[1\]\.boxes\[0\]\.w: must be > 0, got -1\.0"),
+    (lambda m: m["spec"].update(frames=2.5), r"spec\.frames: must be an integer, got 2\.5"),
+    (lambda m: m["spec"].update(stride=0), r"spec: stride must be >= 1, got 0"),
+], ids=["repeated-frame_id", "frame-without-boxes", "negative-width", "float-frames", "zero-stride"])
+def test_load_dataset_rejects_a_bad_manifest_entry(tmp_path, edit, error):
+    manifest = _small_dataset(tmp_path)
+    edit(manifest)
+    _write_manifest(tmp_path, manifest)
+    with pytest.raises(ValueError, match=r"^manifest\.json: " + error):
+        load_dataset(tmp_path)
+
+
+def _value_paths(value, path=()):
+    """Every key path inside a JSON value, parents before their children."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+_DELETE = object()
+
+
+def test_load_dataset_names_the_manifest_under_every_single_mutation(tmp_path):
+    # Each value of a 2-clip manifest is deleted or replaced in turn; the load
+    # either succeeds or raises a ValueError that names the manifest.
+    original = _small_dataset(tmp_path, clips=2)
+    failures = 0
+    for path in _value_paths(original):
+        for replacement in (_DELETE, None, "x", -1, 2.5, [], {}):
+            manifest = json.loads(json.dumps(original))
+            parent = manifest
+            for key in path[:-1]:
+                parent = parent[key]
+            if replacement is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = replacement
+            _write_manifest(tmp_path, manifest)
+            try:
+                load_dataset(tmp_path)
+            except ValueError as e:
+                assert str(e).startswith("manifest.json: "), (path, replacement, e)
+                failures += 1
+    assert failures > 100
+    _write_manifest(tmp_path, original)
+    assert len(load_dataset(tmp_path).clips) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -949,6 +1048,38 @@ def test_load_detector_names_the_checkpoint_and_key_of_a_broken_stored_config(tm
         "kind": "detection_checkpoint", "config": stored, "config_hash": config_model_hash(cfg)})
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'run'}: detection checkpoint key 'config' {reason}")):
         load_detector(tmp_path / "run")
+
+
+# One value outside each interval of config.RANGES, of the key's JSON kind, so
+# that only the range check can refuse it.
+OUT_OF_RANGE = [("data", "frames", 0), ("train", "lr", -0.5), ("train", "momentum", 1.0),
+                ("eval", "confidence_floor", 1.5), ("eval", "iou_threshold", 0.0)]
+
+
+def test_every_ranged_config_key_has_an_out_of_range_case():
+    assert sorted(f"{section}.{key}" for section, key, _ in OUT_OF_RANGE) == sorted(RANGES)
+
+
+@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE, ids=[f"{s}.{k}" for s, k, _ in OUT_OF_RANGE])
+def test_load_detector_rejects_a_stored_config_value_out_of_its_range(tmp_path, section, key, value):
+    cfg = _small_mambast_cfg()
+    stored = json.loads(json.dumps(cfg))
+    stored[section][key] = value
+    save_checkpoint(tmp_path / "run", DetectionModel(cfg).named_parameters(), metadata={
+        "kind": "detection_checkpoint", "config": stored, "config_hash": config_model_hash(cfg)})
+    message = f"config key '{section}.{key}' must be in {RANGES[f'{section}.{key}']}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(f"key 'config' is not a valid config: ValueError: <dict>: {message}")):
+        load_detector(tmp_path / "run")
+
+
+def test_config_takes_the_ends_of_each_range():
+    for section, key, value in [("data", "frames", 1), ("train", "lr", 0.0), ("train", "lr", 1e30),
+                                ("train", "momentum", 0.0), ("eval", "confidence_floor", 0.0),
+                                ("eval", "confidence_floor", 1.0), ("eval", "iou_threshold", 1.0)]:
+        assert normalize_config({"schema_version": 1, section: {key: value}})[section][key] == value
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=re.escape("config key 'train.lr' must be in [0, inf)")):
+            normalize_config({"schema_version": 1, "train": {"lr": value}})
 
 
 def test_load_detector_rejects_tensors_the_model_does_not_have(tmp_path):

@@ -116,6 +116,52 @@ def test_layer_norm_golden():
     np.testing.assert_allclose(y.data, [[-1.2247357, 0.0, 1.2247357]], rtol=0, atol=1e-6)
 
 
+def _layer_norm_by_ndarray_methods(x, gamma, beta, eps=1e-5):
+    """The layer norm as ndarray.mean and ndarray.var(mean=) compute it."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True, mean=mean)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_adjoint_by_ndarray_methods(xhat, inv, gamma, g):
+    gg = g * gamma
+    axes = tuple(range(g.ndim - 1))
+    m1 = gg.mean(axis=-1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gg - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def _bits(a):
+    """The raw bits of a float array, so that -0.0 and +0.0 differ."""
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]),
+       st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_layer_norm_kernels_equal_the_ndarray_methods_bit_for_bit(dtype, shape, seed, zero_share):
+    rng = np.random.default_rng(seed)
+
+    def draw(*dims):
+        a = (rng.standard_normal(dims) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+        a[rng.random(dims) < zero_share] = 0.0
+        return a
+
+    x, g = draw(*shape), draw(*shape)
+    gamma, beta = draw(shape[-1]), draw(shape[-1])
+    y, ctx = T._layer_norm_fwd(x, gamma, beta)
+    want_y, want_xhat, want_inv = _layer_norm_by_ndarray_methods(x, gamma, beta)
+    for got, want in ((y, want_y), (ctx["xhat"], want_xhat), (ctx["inv"], want_inv)):
+        assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+    got = T._layer_norm_bwd(ctx, g)
+    want = _layer_norm_adjoint_by_ndarray_methods(ctx["xhat"], ctx["inv"], gamma, g)
+    for got_part, want_part in zip(got, want):
+        assert got_part.dtype == want_part.dtype and np.array_equal(_bits(got_part), _bits(want_part))
+
+
 def test_silu_golden():
     y = T.silu(t32([-1.0, 0.0, 1.0]))
     np.testing.assert_allclose(y.data, [-0.26894143, 0.0, 0.7310586], rtol=0, atol=1e-6)
