@@ -118,18 +118,18 @@ def _check_kind(default, value, source: str, key: str) -> None:
             _check_kind(default[0], item, source, f"{key}[{j}]")
 
 
-def _merge(base: dict, override: dict, source: str, path: str = "") -> dict:
-    unknown = [f"{path}{key}" for key in override if key not in base]
+def _merge_into(out: dict, override: dict, source: str, path: str = "") -> None:
+    """Merge ``override`` into ``out``, a private copy of the defaults, copying
+    only the override's values."""
+    unknown = [f"{path}{key}" for key in override if key not in out]
     if unknown:
         raise ValueError(f"{source}: unknown config keys {unknown}")
-    out = copy.deepcopy(base)
     for key, value in override.items():
         _check_kind(out[key], value, source, f"{path}{key}")
         if isinstance(value, dict):  # and so is the default, by the kind check above
-            out[key] = _merge(out[key], value, source, f"{path}{key}.")
+            _merge_into(out[key], value, source, f"{path}{key}.")
         else:
             out[key] = copy.deepcopy(value)
-    return out
 
 
 def _check_stages(stages: list, source: str) -> None:
@@ -164,7 +164,8 @@ def load_config(path) -> dict:
 def normalize_config(raw: dict, source: str = "<dict>") -> dict:
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{source}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
-    cfg = _merge(DEFAULT_CONFIG, raw, source)
+    cfg = default_config()
+    _merge_into(cfg, raw, source)
     _check_stages(cfg["model"]["stages"], source)
     _check_ranges(cfg, source)
     if cfg["fuser"] not in FUSER_NAMES:

@@ -7,7 +7,7 @@ flattens the pair into a token sequence, both in one gather (see
 ``interleave``), projects tokens down to C/K, and runs a stack of gated SSM
 blocks over them. The head's token outputs are projected back up, scattered
 back to the (H, W, C) maps, and residually added to its embedded inputs.
-Head outputs are concatenated channelwise and a zero-initialized pointwise
+Head outputs are stacked channelwise and a zero-initialized pointwise
 aggregation projects K*C back to C, which is residually added to the
 original (un-embedded) inputs. A fresh stage is therefore the identity map.
 
@@ -15,6 +15,11 @@ Optionally each head gets a carry token prepended before its block stack (the
 temporal module threads them between frames); its output position is dropped
 before the up-projection, and the stack's last-position output is handed
 back so the caller can extract the next carry.
+
+Every row move of a stage (patching and flattening, the carry's prepend, the
+next carry and the head's features cut out of its tokens, and the head
+stack) is one ``take_rows`` gather through a ``RowIndex`` that ``interleave``
+builds and caches.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .interleave import build_layout, ocf_flatten, ocf_unflatten, patch, unpatch
+from .interleave import (TAKE_OP, RowIndex, build_layout, channel_stack, ocf_flatten, ocf_unflatten, patch,
+                         row_window, unpatch)
 from .ssm import MambaBlockParams, init_block, stack_forward
 from .tensor import ShapeError, Tensor
 
@@ -195,6 +201,14 @@ def add_embeddings(rgb: Tensor, thermal: Tensor, emb: EmbeddingSet) -> tuple[Ten
     return e_rgb, e_thm
 
 
+def _gather(inputs: Sequence[Tensor], rows: RowIndex, shape: Optional[tuple] = None) -> Tensor:
+    """One ``take_rows`` op over rows as wide as the inputs' last axis;
+    ``shape`` defaults to the picked rows."""
+    width = inputs[0].shape[-1]
+    return T.op_forward(TAKE_OP, tuple(inputs), rows=rows, width=width,
+                        shape=shape or (rows.index.size, width))
+
+
 def stage_forward(
     params: StageParams,
     rgb: Tensor,
@@ -233,17 +247,23 @@ def stage_forward(
                     f"stage_forward[{cfg.name}]: head {k} carry shape {carry.shape} "
                     f"!= (1, {head.head_dim})"
                 )
-            x = T.concat([carry, x], axis=0)
+            x = _gather((carry, x), row_window(0, layout.tokens + 1, layout.tokens + 1))
         tokens = stack_forward(head.blocks, x)
-        next_carries.append(T.narrow(tokens, 0, tokens.shape[0] - 1, 1))
-        feats = T.narrow(tokens, 0, 1, layout.tokens) if carries is not None else tokens
+        n = tokens.shape[0]
+        next_carries.append(_gather((tokens,), row_window(n - 1, 1, n)))
+        feats = _gather((tokens,), row_window(1, layout.tokens, n)) if carries is not None else tokens
         y = T.linear(feats, head.out_w, head.out_b)
         r_delta, t_delta = ocf_unflatten(y, layout)
         up_rgb.append(T.add(e_rgb, r_delta))
         up_thm.append(T.add(e_thm, t_delta))
 
-    cat_rgb = up_rgb[0] if len(up_rgb) == 1 else T.concat(up_rgb, axis=2)
-    cat_thm = up_thm[0] if len(up_thm) == 1 else T.concat(up_thm, axis=2)
+    if len(up_rgb) == 1:
+        cat_rgb, cat_thm = up_rgb[0], up_thm[0]
+    else:
+        stack = channel_stack(cfg.height * cfg.width, cfg.heads)
+        shape = (cfg.height, cfg.width, cfg.heads * cfg.channels)
+        cat_rgb = _gather(up_rgb, stack, shape)
+        cat_thm = _gather(up_thm, stack, shape)
     out_rgb = T.add(rgb, T.linear(cat_rgb, params.agg_w, params.agg_b))
     out_thm = T.add(thermal, T.linear(cat_thm, params.agg_w, params.agg_b))
     return StageResult(rgb=out_rgb, thermal=out_thm, carries=next_carries)

@@ -14,8 +14,10 @@ spectra at matching positions.
 The layout is a pure permutation of pixels, cached per (rows, cols, S),
 with an exact inverse. Flattening is one gather of pixel rows, un-flattening
 one gather per modality, and ``patch``/``unpatch`` (space-to-depth on one
-map and back) one gather each, all ``take_rows`` ops. Each gather runs
-through a ``RowIndex``, checked once when its layout is built.
+map and back) one gather each, all ``take_rows`` ops. This module builds
+every row index the program gathers through, the fusion stage's row windows
+and channel stack included; each is a ``RowIndex``, checked once when it is
+built and then cached.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import ShapeError, Tensor, register_op
 
-__all__ = ["OcfLayout", "RowIndex", "build_layout", "ocf_flatten", "ocf_unflatten", "patch", "unpatch"]
+__all__ = ["OcfLayout", "RowIndex", "build_layout", "channel_stack", "ocf_flatten", "ocf_unflatten", "patch",
+           "row_window", "unpatch"]
 
 TAKE_OP = "take_rows"
 
@@ -65,7 +68,10 @@ def _take_rows_fwd(*arrays, rows, width, shape):
     """The rows of the inputs, stacked in order, picked by the ``RowIndex``
     ``rows``. Each input is viewed as rows of ``width`` values and the picked
     rows are reshaped to ``shape``."""
-    parts = [a.reshape(-1, width) for a in arrays]
+    try:
+        parts = [a.reshape(-1, width) for a in arrays]
+    except ValueError:
+        raise ShapeError(f"take_rows: inputs {[a.shape for a in arrays]} do not split into rows of {width}") from None
     stacked = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if stacked.shape[0] != rows.source:
         raise ShapeError(f"take_rows: index is over {rows.source} rows, inputs have {stacked.shape[0]}")
@@ -137,6 +143,24 @@ def _pixel_blocks(rows: int, cols: int, patch: int) -> RowIndex:
     """Inverse of ``_block_pixels``: the packed row of every map pixel."""
     packed = _block_pixels(rows, cols, patch)
     return RowIndex(_inverse(packed.index), packed.source)
+
+
+@lru_cache(maxsize=None)
+def row_window(start: int, length: int, source: int) -> RowIndex:
+    """Rows ``start`` to ``start + length - 1`` of ``source`` rows, in order."""
+    return RowIndex(np.arange(start, start + length), source)
+
+
+@lru_cache(maxsize=None)
+def channel_stack(pixels: int, maps: int) -> RowIndex:
+    """Stack ``maps`` maps of ``pixels`` pixels each along their channels.
+
+    Over the maps' rows stacked in order, output row p*maps + k is pixel p
+    of map k, so viewed as rows of one map's channels the gather is a
+    concatenation on the channel axis.
+    """
+    index = np.arange(maps)[None, :] * pixels + np.arange(pixels)[:, None]
+    return RowIndex(index.reshape(-1), maps * pixels)
 
 
 @lru_cache(maxsize=None)

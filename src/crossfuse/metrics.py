@@ -34,7 +34,6 @@ __all__ = [
     "mr_fppi_curve",
     "lamr",
     "recall",
-    "read_boxes_jsonl",
     "write_boxes_jsonl",
 ]
 
@@ -66,10 +65,6 @@ class Box:
         if self.confidence is not None:
             d["conf"] = self.confidence
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Box":
-        return cls(x=d["x"], y=d["y"], w=d["w"], h=d["h"], confidence=d.get("conf"))
 
 
 def iou(a: Box, b: Box) -> float:
@@ -269,25 +264,3 @@ def write_boxes_jsonl(path, frames: dict[str, Sequence[Box]]) -> None:
             fp.write(json.dumps(row, sort_keys=True))
             fp.write("\n")
 
-
-def read_boxes_jsonl(path) -> dict[str, list[Box]]:
-    out: dict[str, list[Box]] = {}
-    with open(path) as fp:
-        for line_no, line in enumerate(fp, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: bad JSON ({e})") from e
-            if "frame_id" not in row or "boxes" not in row:
-                raise ValueError(f"{path}:{line_no}: rows need frame_id and boxes")
-            frame_id = str(row["frame_id"])
-            if frame_id in out:
-                raise ValueError(f"{path}:{line_no}: duplicate frame_id {frame_id!r}")
-            try:
-                out[frame_id] = [Box.from_dict(b) for b in row["boxes"]]
-            except (KeyError, TypeError) as e:
-                raise ValueError(f"{path}:{line_no}: bad boxes ({type(e).__name__}: {e})") from e
-    return out

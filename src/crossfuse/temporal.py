@@ -251,12 +251,19 @@ def load_stream_state(dirpath) -> StreamState:
                                             for keys in names.values())):
         raise ValueError(f"{dirpath}: stream state key 'carry_names' must map each stage to a list of "
                          f"tensor names, got {names!r:.100}")
-    for key, kind in (("frame_index", int), ("model_hash", str)):
-        if not isinstance(meta.get(key), kind):
-            raise ValueError(f"{dirpath}: stream state key {key!r} must be a {kind.__name__}, "
-                             f"got {meta.get(key)!r:.100}")
+    index = meta.get("frame_index")
+    if type(index) is not int or index < 0:
+        raise ValueError(f"{dirpath}: stream state key 'frame_index' must be a non-negative int, "
+                         f"got {index!r:.100}")
+    if not isinstance(meta.get("model_hash"), str):
+        raise ValueError(f"{dirpath}: stream state key 'model_hash' must be a str, "
+                         f"got {meta.get('model_hash')!r:.100}")
     missing = sorted(key for keys in names.values() for key in keys if key not in tensors)
     if missing:
         raise ValueError(f"stream state lists carry tensors the checkpoint does not hold: {missing[:5]}")
+    # A non-finite carry would turn every later frame of the stream non-finite.
+    bad = sorted(key for keys in names.values() for key in keys if not np.isfinite(tensors[key].data).all())
+    if bad:
+        raise ValueError(f"{dirpath}: stream state carry tensors {bad[:5]} hold a NaN or an infinity")
     carries = {stage: [tensors[key] for key in keys] for stage, keys in names.items()}
-    return StreamState(carries=carries, frame_index=meta["frame_index"], model_hash=meta["model_hash"])
+    return StreamState(carries=carries, frame_index=index, model_hash=meta["model_hash"])

@@ -1,9 +1,9 @@
 """Dense float tensors with taped reverse-mode differentiation.
 
 The registry holds the kinds the program records: suffix-broadcast add, a
-linear map ``x @ w`` with an optional bias, silu and the shape ops (concat,
-slice). Domain modules register their fused ops (``take_rows``,
-``mamba_block``, ``detection_loss``) through ``register_op``. The kernels
+linear map ``x @ w`` with an optional bias and silu. Domain modules register
+their fused ops (``take_rows``, which makes every row move, ``mamba_block``
+and ``detection_loss``) through ``register_op``. The kernels
 those fused ops call besides (layer norm, causal depthwise convolution,
 softplus) live here as plain forward/adjoint pairs; the fused ops write the
 rest of their arithmetic inline.
@@ -37,8 +37,6 @@ __all__ = [
     "add",
     "linear",
     "silu",
-    "concat",
-    "narrow",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -459,61 +457,9 @@ def _softplus_bwd(ctx, g):
     return (g * _sigmoid_np(ctx["x"]),)
 
 
-def _concat_fwd(*arrays, axis=0):
-    if not arrays:
-        raise ShapeError("concat: needs at least one input")
-    rank = arrays[0].ndim
-    for a in arrays:
-        if a.ndim != rank:
-            raise ShapeError(f"concat: rank mismatch between inputs ({[x.shape for x in arrays]})")
-    if not -rank <= axis < rank:
-        raise ShapeError(f"concat: axis {axis} out of range for rank {rank}")
-    ax = axis % rank
-    ref = list(arrays[0].shape)
-    for a in arrays:
-        s = list(a.shape)
-        s[ax] = ref[ax]
-        if s != ref:
-            raise ShapeError(f"concat: shapes {[x.shape for x in arrays]} differ off axis {ax}")
-    sizes = [a.shape[ax] for a in arrays]
-    return np.concatenate(arrays, axis=ax), {"axis": ax, "sizes": sizes}
-
-
-def _concat_bwd(ctx, g):
-    idx = [slice(None)] * g.ndim
-    parts = []
-    start = 0
-    for size in ctx["sizes"]:
-        idx[ctx["axis"]] = slice(start, start + size)
-        parts.append(np.ascontiguousarray(g[tuple(idx)]))
-        start += size
-    return tuple(parts)
-
-
-def _slice_fwd(x, axis=0, start=0, length=1):
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"slice: axis {axis} out of range for shape {x.shape}")
-    ax = axis % x.ndim
-    if start < 0 or length < 1 or start + length > x.shape[ax]:
-        raise ShapeError(f"slice: window [{start}, {start + length}) exceeds axis {ax} of shape {x.shape}")
-    idx = [slice(None)] * x.ndim
-    idx[ax] = slice(start, start + length)
-    return np.ascontiguousarray(x[tuple(idx)]), {"shape": x.shape, "axis": ax, "start": start, "length": length}
-
-
-def _slice_bwd(ctx, g):
-    out = np.zeros(ctx["shape"], dtype=g.dtype)
-    idx = [slice(None)] * len(ctx["shape"])
-    idx[ctx["axis"]] = slice(ctx["start"], ctx["start"] + ctx["length"])
-    out[tuple(idx)] = g
-    return (out,)
-
-
 register_op("add", _add_fwd, _add_bwd)
 register_op("linear", _linear_fwd, _linear_bwd)
 register_op("silu", _silu_fwd, _silu_bwd)
-register_op("concat", _concat_fwd, _concat_bwd)
-register_op("slice", _slice_fwd, _slice_bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +477,3 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     return op_forward("silu", (x,))
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    return op_forward("concat", tuple(tensors), axis=axis)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    return op_forward("slice", (x,), axis=axis, start=start, length=length)

@@ -31,8 +31,7 @@ from crossfuse.tensor import Tensor, op_forward, register_op
 
 
 # What a fresh ``import crossfuse, crossfuse.harness`` registers, sorted.
-PROGRAM_KINDS = ["add", "concat", "detection_loss", "linear", "mamba_block", "silu", "slice",
-                 "take_rows"]
+PROGRAM_KINDS = ["add", "detection_loss", "linear", "mamba_block", "silu", "take_rows"]
 
 
 def _mul_fwd(a, b):

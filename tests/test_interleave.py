@@ -11,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfuse import tensor as T
-from crossfuse.fusion import patch, unpatch
+from crossfuse.fusion import _gather as gather, patch, unpatch
 from crossfuse.interleave import (
     RGB,
     THERMAL,
     OcfLayout,
     RowIndex,
     build_layout,
+    channel_stack,
     ocf_flatten,
     ocf_unflatten,
+    row_window,
 )
 from crossfuse.tensor import Graph, ShapeError, Tensor, backward, grad_check, op_forward
 
@@ -223,8 +225,7 @@ def _chained_flatten(rgb, thm, size):
     """patch, then the unpatched flatten as it was composed from core ops."""
     p_rgb, p_thm = patch(rgb, size), patch(thm, size)
     rows, cols, packed = p_rgb.shape
-    stacked = T.concat([C.reshape(p_rgb, (rows * cols, packed)), C.reshape(p_thm, (rows * cols, packed))], axis=0)
-    return op_forward("take_rows", (stacked,), rows=build_layout(rows, cols).gather, width=packed,
+    return op_forward("take_rows", (p_rgb, p_thm), rows=build_layout(rows, cols).gather, width=packed,
                       shape=(2 * rows * cols, packed))
 
 
@@ -235,8 +236,9 @@ def _chained_unflatten(tokens, rows, cols, size):
     stacked = op_forward("take_rows", (tokens,), rows=layout.scatter, width=packed,
                          shape=tokens.shape)
     hw = rows * cols
-    halves = (T.narrow(stacked, 0, 0, hw), T.narrow(stacked, 0, hw, hw))
-    return tuple(unpatch(C.reshape(h, (rows, cols, packed)), size) for h in halves)
+    halves = (op_forward("take_rows", (stacked,), rows=row_window(m * hw, hw, 2 * hw), width=packed,
+                         shape=(rows, cols, packed)) for m in (RGB, THERMAL))
+    return tuple(unpatch(h, size) for h in halves)
 
 
 def _weighted_sum(outputs, rng):
@@ -322,3 +324,76 @@ def test_patched_layout_gather_lists_block_pixels():
         layout.gather.index, [0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11, 14, 15])
     with pytest.raises(ShapeError, match="layout"):
         ocf_flatten(*_grids(2, 2), layout)
+
+
+# ---------------------------------------------------------------------------
+# The fusion stage's row windows and channel stack
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=12),
+    width=st.integers(min_value=1, max_value=4),
+    start=st.integers(min_value=0, max_value=12),
+    heads=st.integers(min_value=1, max_value=4),
+    height=st.integers(min_value=1, max_value=4),
+    channels=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+def test_row_gathers_equal_numpy_slicing_and_concatenate(length, width, start, heads, height, channels, seed):
+    rng = np.random.default_rng(seed)
+    carry = rng.normal(size=(1, width)).astype(np.float32)
+    x = rng.normal(size=(length, width)).astype(np.float32)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    n = length + 1
+    prepended = gather((Tensor(carry), Tensor(x)), row_window(0, n, n))
+    _same_bits(prepended.data, np.concatenate([carry, x], axis=0))
+
+    start = min(start, length)
+    size = n - start
+    window = gather((prepended,), row_window(start, size, n))
+    _same_bits(window.data, np.concatenate([carry, x])[start:start + size])
+
+    maps = [rng.normal(size=(height, height + 1, channels)).astype(np.float32) for _ in range(heads)]
+    shape = (height, height + 1, heads * channels)
+    stacked = gather([Tensor(m) for m in maps], channel_stack(height * (height + 1), heads), shape)
+    _same_bits(stacked.data, np.concatenate(maps, axis=2))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_row_gather_adjoints_pass_grad_check(heads):
+    rng = np.random.default_rng(heads)
+    params = {"carry": T.parameter(rng.normal(size=(1, 3)), "carry"),
+              "x": T.parameter(rng.normal(size=(4, 3)), "x")}
+    params.update({f"map{k}": T.parameter(rng.normal(size=(2, 3, 2)), f"map{k}") for k in range(heads)})
+    w_window, w_last = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(1, 3)))
+    w_stack = Tensor(rng.normal(size=(2, 3, 2 * heads)))
+
+    def f(p):
+        tokens = gather((p["carry"], p["x"]), row_window(0, 5, 5))
+        feats = gather((tokens,), row_window(1, 3, 5))
+        last = gather((tokens,), row_window(4, 1, 5))
+        maps = [p[f"map{k}"] for k in range(heads)]
+        stacked = gather(maps, channel_stack(6, heads), (2, 3, 2 * heads))
+        return T.add(T.add(C.reduce_sum(C.mul(feats, w_window)), C.reduce_sum(C.mul(last, w_last))),
+                     C.reduce_sum(C.mul(stacked, w_stack)))
+
+    report = grad_check(f, params)
+    assert report.max_rel_error < 1e-6, report
+
+
+def test_channel_stack_rejects_maps_of_another_size():
+    maps = [Tensor(np.zeros((2, 2, 1), np.float32)), Tensor(np.zeros((2, 3, 1), np.float32))]
+    with pytest.raises(ShapeError, match="over 8 rows, inputs have 10"):
+        gather(maps, channel_stack(4, 2), (2, 2, 2))
+
+
+def test_row_indexes_are_built_once():
+    assert row_window(1, 3, 5) is row_window(1, 3, 5)
+    assert channel_stack(6, 2) is channel_stack(6, 2)
+    np.testing.assert_array_equal(channel_stack(3, 2).index, [0, 3, 1, 4, 2, 5])

@@ -13,6 +13,7 @@ Set C: two frames, one ground truth each; frame 0 has a hit at 0.9, frame 1
     reads 0.5, log-average 50 percent, recall 50.
 """
 
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,6 @@ from crossfuse.metrics import (
     lamr,
     match_frame,
     mr_fppi_curve,
-    read_boxes_jsonl,
     recall,
     write_boxes_jsonl,
 )
@@ -294,42 +294,8 @@ def test_jsonl_roundtrip(tmp_path):
         "clip0/f0": [_gt(0, 0, 10, 10), _det(5, 5, 2, 2, 0.25)],
     }
     write_boxes_jsonl(path, frames)
-    loaded = read_boxes_jsonl(path)
-    assert sorted(loaded) == ["clip0/f0", "clip0/f1"]
-    assert loaded["clip0/f1"][0].confidence == 0.5
-    assert loaded["clip0/f0"][0].confidence is None
-    assert loaded["clip0/f0"][1].w == 2
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
     # Lines are written in sorted frame order.
-    first_line = path.read_text().splitlines()[0]
-    assert '"clip0/f0"' in first_line
-
-
-def test_jsonl_read_errors(tmp_path):
-    bad_json = tmp_path / "a.jsonl"
-    bad_json.write_text('{"frame_id": "f", "boxes": [}\n')
-    with pytest.raises(ValueError, match="bad JSON"):
-        read_boxes_jsonl(bad_json)
-
-    missing = tmp_path / "b.jsonl"
-    missing.write_text('{"frame_id": "f"}\n')
-    with pytest.raises(ValueError, match="frame_id and boxes"):
-        read_boxes_jsonl(missing)
-
-    dup = tmp_path / "c.jsonl"
-    dup.write_text(
-        '{"frame_id": "f", "boxes": []}\n{"frame_id": "f", "boxes": []}\n'
-    )
-    with pytest.raises(ValueError, match="duplicate"):
-        read_boxes_jsonl(dup)
-
-
-def test_jsonl_bad_box_rows_name_the_file_and_line(tmp_path):
-    no_h = tmp_path / "d.jsonl"
-    no_h.write_text('{"frame_id": "f0", "boxes": []}\n{"frame_id": "f1", "boxes": [{"x": 1, "y": 2, "w": 3}]}\n')
-    with pytest.raises(ValueError, match=f"{no_h}:2: bad boxes \\(KeyError: 'h'\\)"):
-        read_boxes_jsonl(no_h)
-
-    not_a_list = tmp_path / "e.jsonl"
-    not_a_list.write_text('{"frame_id": "f0", "boxes": 5}\n')
-    with pytest.raises(ValueError, match=f"{not_a_list}:1: bad boxes \\(TypeError"):
-        read_boxes_jsonl(not_a_list)
+    assert [row["frame_id"] for row in rows] == ["clip0/f0", "clip0/f1"]
+    assert rows[0]["boxes"] == [{"x": 0, "y": 0, "w": 10, "h": 10}, {"x": 5, "y": 5, "w": 2, "h": 2, "conf": 0.25}]
+    assert rows[1]["boxes"] == [{"x": 1, "y": 2, "w": 3, "h": 4, "conf": 0.5}]

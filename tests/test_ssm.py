@@ -32,6 +32,8 @@ from crossfuse.ssm import (
     scan_step,
     stack_forward,
 )
+from crossfuse.fusion import _gather as gather
+from crossfuse.interleave import row_window
 from crossfuse.temporal import swap_parameters, walk_parameters
 from crossfuse.tensor import Graph, GraphError, ShapeError, Tensor, backward, grad_check
 
@@ -468,7 +470,8 @@ def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
     a = C.scale(C.exp(params.a_log), -1.0)
     h_all = T.op_forward("test_recurrence", (tokens, delta, b_seq, a, state0.h))
     y = C.reduce_sum(C.mul(h_all, params.w_out), axis=-1)
-    last = C.reshape(T.narrow(h_all, 0, length - 1, 1), (channels, params.state_size))
+    last = T.op_forward("take_rows", (h_all,), rows=row_window(length - 1, 1, length),
+                        width=channels * params.state_size, shape=(channels, params.state_size))
     return y, SSMState(last), h_all
 
 
@@ -610,7 +613,7 @@ def test_fused_block_equals_composed_chain_bit_for_bit(dim, state, conv, expand,
 
     def run(block_fn):
         with Graph() as g:
-            tokens = T.concat([row, x], axis=0) if carry else x
+            tokens = gather((row, x), row_window(0, length + 1, length + 1)) if carry else x
             out = block_fn(block, tokens)
             loss = C.reduce_sum(C.mul(out, w))
         return out, backward(g, loss, [t for _, _, t in walk_parameters(block)] + [x, row])

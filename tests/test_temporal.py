@@ -277,6 +277,29 @@ def test_load_stream_state_names_bad_carry_names(tmp_path, edit):
         load_stream_state(tmp_path / "state")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_load_stream_state_names_a_non_finite_carry(tmp_path, bad):
+    state = init_stream(build_model(_configs(), seed=0))
+    carry = state.carries["f2"][0].data.copy()
+    carry[0, -1] = bad
+    state.carries["f2"][0] = Tensor(carry)
+    save_stream_state(tmp_path / "state", state)
+    message = r"state: stream state carry tensors \['f2.carry0'\] hold a NaN or an infinity"
+    with pytest.raises(ValueError, match=message):
+        load_stream_state(tmp_path / "state")
+
+
+@pytest.mark.parametrize("value", [-7, -1, True, False, 2.0, "3", None], ids=repr)
+def test_load_stream_state_names_a_bad_frame_index(tmp_path, value):
+    save_stream_state(tmp_path / "state", init_stream(build_model(_configs(), seed=0)))
+    index_path = tmp_path / "state" / INDEX_NAME
+    index = json.loads(index_path.read_text())
+    index["metadata"]["frame_index"] = value
+    index_path.write_text(json.dumps(index))
+    with pytest.raises(ValueError, match="state: stream state key 'frame_index' must be a non-negative int"):
+        load_stream_state(tmp_path / "state")
+
+
 def test_fuse_next_rejects_incomplete_pyramid():
     configs = _configs()
     model = build_model(configs, seed=0)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import crossfuse
 from crossfuse import tensor as T
+from crossfuse.fusion import _gather as gather
+from crossfuse.interleave import row_window
 from crossfuse.tensor import (
     Graph,
     GraphError,
@@ -180,9 +182,11 @@ def test_sigmoid_stable_at_extremes():
 
 
 def test_concat_and_narrow_golden():
-    y = T.concat([t32([[1.0], [2.0]]), t32([[3.0], [4.0]])], axis=0)
+    # Both are take_rows gathers: a concat through a window over all rows,
+    # a narrow through a shorter one.
+    y = gather((t32([[1.0], [2.0]]), t32([[3.0], [4.0]])), row_window(0, 4, 4))
     np.testing.assert_array_equal(y.data, [[1.0], [2.0], [3.0], [4.0]])
-    np.testing.assert_array_equal(T.narrow(y, 0, 1, 2).data, [[2.0], [3.0]])
+    np.testing.assert_array_equal(gather((y,), row_window(1, 2, 4)).data, [[2.0], [3.0]])
 
 
 def test_reshape_transpose_golden():
@@ -232,8 +236,10 @@ def test_conv1d_rejects_channel_mismatch():
 
 
 def test_narrow_rejects_out_of_range_window():
-    with pytest.raises(ShapeError, match="slice"):
-        T.narrow(t32([1.0, 2.0, 3.0]), 0, 2, 2)
+    with pytest.raises(ShapeError, match="out of range for 3 rows"):
+        row_window(2, 2, 3)
+    with pytest.raises(ShapeError, match="out of range"):
+        row_window(-1, 1, 3)
 
 
 def test_transpose_rejects_bad_permutation():
@@ -242,8 +248,8 @@ def test_transpose_rejects_bad_permutation():
 
 
 def test_concat_rejects_off_axis_mismatch():
-    with pytest.raises(ShapeError, match="concat"):
-        T.concat([Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((2, 4), np.float32))], axis=0)
+    with pytest.raises(ShapeError, match=r"take_rows: inputs \[\(2, 3\), \(2, 4\)\] do not split into rows of 3"):
+        gather((Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((2, 4), np.float32))), row_window(0, 4, 4))
 
 
 def test_reduce_rejects_duplicate_axes():
@@ -433,8 +439,8 @@ def test_grad_concat_narrow_reshape_transpose():
     params = {"a": _param(rng, (2, 3), "a"), "b": _param(rng, (2, 3), "b")}
 
     def f(p):
-        cat = T.concat([p["a"], p["b"]], axis=0)           # (4, 3)
-        cut = T.narrow(cat, 0, 1, 2)                       # (2, 3)
+        cat = gather((p["a"], p["b"]), row_window(0, 4, 4))  # (4, 3)
+        cut = gather((cat,), row_window(1, 2, 4))            # (2, 3)
         flip = C.transpose(C.reshape(cut, (3, 2)), (1, 0)) # (2, 3)
         return C.reduce_sum(C.mul(flip, flip))
 
