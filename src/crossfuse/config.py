@@ -4,8 +4,8 @@ The file must carry ``schema_version: 1``. A key the defaults do not have,
 at any level and in any ``model.stages`` entry, is rejected so typos fail
 loudly, as are a value of another JSON kind than its default's, a
 non-integer where the default is an integer, a stage entry missing a key,
-and a value outside its interval in ``RANGES``. Runs are seeded by the
-config's ``seed``.
+a value outside its interval in ``RANGES`` and a ``data`` section that
+``SyntheticClipSpec`` refuses. Runs are seeded by the config's ``seed``.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ import copy
 import hashlib
 import json
 import numbers
+from dataclasses import asdict, dataclass, fields
 
 from .fusion import StageConfig
 
 __all__ = [
     "DEFAULT_CONFIG",
     "FUSER_NAMES",
+    "SyntheticClipSpec",
     "load_config",
     "default_config",
     "config_model_hash",
@@ -36,24 +38,49 @@ STAGE_WIDTH_FACTORS = {"f1": 4, "f2": 8, "f3": 16}
 STAGE_STRIDES = {"f1": 8, "f2": 16, "f3": 32}
 FUSER_NAMES = ("none-rgb", "none-thermal", "feature-add", "mambast")
 
+
+@dataclass(frozen=True)
+class SyntheticClipSpec:
+    """The clips that a config's ``data`` section, less ``clips``, and its ``seed`` describe."""
+
+    seed: int = 0
+    frames: int = 3
+    height: int = 64
+    width: int = 64
+    blob_count_min: int = 1
+    blob_count_max: int = 2
+    blob_size_min: int = 10
+    blob_size_max: int = 22
+    blob_speed_max: float = 1.5
+    illumination: str = "day"
+    stride: int = 3
+    occlusion: str = "none"
+
+    def __post_init__(self):
+        if self.frames < 1:
+            raise ValueError(f"frames must be >= 1, got {self.frames}")
+        if self.height < 16 or self.width < 16:
+            raise ValueError(f"image {self.height}x{self.width} too small for blob targets")
+        if self.illumination not in ("day", "night"):
+            raise ValueError(f"illumination must be day or night, got {self.illumination!r}")
+        if self.occlusion not in ("none", "last_frame"):
+            raise ValueError(f"occlusion must be none or last_frame, got {self.occlusion!r}")
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if not 0 < self.blob_size_min <= self.blob_size_max < min(self.height, self.width):
+            raise ValueError("blob size range must fit inside the image")
+        if not 0 < self.blob_count_min <= self.blob_count_max:
+            raise ValueError("blob count range is empty")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 DEFAULT_CONFIG = {
     "schema_version": SCHEMA_VERSION,
     "seed": 0,
     "fuser": "mambast",
-    "data": {
-        "frames": 3,
-        "height": 64,
-        "width": 64,
-        "blob_count_min": 1,
-        "blob_count_max": 2,
-        "blob_size_min": 10,
-        "blob_size_max": 22,
-        "blob_speed_max": 1.5,
-        "illumination": "day",
-        "stride": 3,
-        "occlusion": "none",
-        "clips": 24,
-    },
+    "data": {**{f.name: f.default for f in fields(SyntheticClipSpec) if f.name != "seed"}, "clips": 24},
     "model": {
         "d_factor": 4,
         "stages": [
@@ -80,11 +107,10 @@ DEFAULT_CONFIG = {
 }
 
 # Allowed interval of each key that no later check covers when a stored config
-# loads, as its consumer enforces it: data.frames as SyntheticClipSpec does,
-# train.lr and train.momentum as SGD does (lr also finite), eval.iou_threshold
-# as match_frame does, and eval.confidence_floor as a probability.
+# loads, as its consumer enforces it: train.lr and train.momentum as SGD does
+# (lr also finite), eval.iou_threshold as match_frame does, and
+# eval.confidence_floor as a probability. SyntheticClipSpec checks data.
 RANGES = {
-    "data.frames": "[1, inf)",
     "train.lr": "[0, inf)",
     "train.momentum": "[0, 1)",
     "eval.confidence_floor": "[0, 1]",
@@ -170,7 +196,11 @@ def normalize_config(raw: dict, source: str = "<dict>") -> dict:
     _check_ranges(cfg, source)
     if cfg["fuser"] not in FUSER_NAMES:
         raise ValueError(f"{source}: unknown fuser {cfg['fuser']!r}")
-    # Fail early on inconsistent fusion geometry.
+    # Fail early on an invalid data section and on inconsistent fusion geometry.
+    try:
+        SyntheticClipSpec(seed=cfg["seed"], **{key: value for key, value in cfg["data"].items() if key != "clips"})
+    except ValueError as e:
+        raise ValueError(f"{source}: config section 'data': {e}") from None
     stage_configs_from(cfg)
     return cfg
 

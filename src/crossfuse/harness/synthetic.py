@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import SyntheticClipSpec
 from ..tensor import Tensor
 from ..tensorio import load_tensor, save_tensor
 from ..metrics import Box
@@ -53,59 +54,24 @@ class RenderParams:
     thermal_background: float = 0.10
 
 
-@dataclass(frozen=True)
-class SyntheticClipSpec:
-    seed: int = 0
-    frames: int = 3
-    height: int = 64
-    width: int = 64
-    blob_count_min: int = 1
-    blob_count_max: int = 2
-    blob_size_min: int = 10
-    blob_size_max: int = 22
-    blob_speed_max: float = 1.5
-    illumination: str = "day"
-    stride: int = 3
-    occlusion: str = "none"
-
-    def __post_init__(self):
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.height < 16 or self.width < 16:
-            raise ValueError(f"image {self.height}x{self.width} too small for blob targets")
-        if self.illumination not in ("day", "night"):
-            raise ValueError(f"illumination must be day or night, got {self.illumination!r}")
-        if self.occlusion not in ("none", "last_frame"):
-            raise ValueError(f"occlusion must be none or last_frame, got {self.occlusion!r}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not 0 < self.blob_size_min <= self.blob_size_max < min(self.height, self.width):
-            raise ValueError("blob size range must fit inside the image")
-        if not 0 < self.blob_count_min <= self.blob_count_max:
-            raise ValueError("blob count range is empty")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticClipSpec":
-        """Inverse of ``to_dict``: exactly the fields, each of its default's
-        JSON kind (a float field also takes an integer); ``__post_init__``
-        then checks the ranges. Errors name the key as ``spec.<field>``."""
-        if type(d) is not dict:
-            raise ValueError(f"spec: must be an object, got {type(d).__name__}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        for problem, keys in (("unknown", d.keys() - defaults.keys()), ("missing", defaults.keys() - d.keys())):
-            if keys:
-                raise ValueError(f"spec: {problem} keys {sorted(keys)}")
-        for name, default in defaults.items():
-            kinds = (int, float) if type(default) is float else (type(default),)
-            if type(d[name]) not in kinds:
-                raise ValueError(f"spec.{name}: must be {_KIND_NAMES[kinds[0]]}, got {d[name]!r}")
-        try:
-            return cls(**d)
-        except ValueError as e:
-            raise ValueError(f"spec: {e}") from None
+def _spec_from_dict(d: dict) -> SyntheticClipSpec:
+    """Inverse of ``SyntheticClipSpec.to_dict``: exactly the fields, each of its default's
+    JSON kind (a float field also takes an integer); ``__post_init__`` then
+    checks the ranges. Errors name the key as ``spec.<field>``."""
+    if type(d) is not dict:
+        raise ValueError(f"spec: must be an object, got {type(d).__name__}")
+    defaults = {f.name: f.default for f in fields(SyntheticClipSpec)}
+    for problem, keys in (("unknown", d.keys() - defaults.keys()), ("missing", defaults.keys() - d.keys())):
+        if keys:
+            raise ValueError(f"spec: {problem} keys {sorted(keys)}")
+    for name, default in defaults.items():
+        kinds = (int, float) if type(default) is float else (type(default),)
+        if type(d[name]) not in kinds:
+            raise ValueError(f"spec.{name}: must be {_KIND_NAMES[kinds[0]]}, got {d[name]!r}")
+    try:
+        return SyntheticClipSpec(**d)
+    except ValueError as e:
+        raise ValueError(f"spec: {e}") from None
 
 
 @dataclass
@@ -325,7 +291,7 @@ def load_dataset(root) -> Dataset:
         raise ValueError(f"{MANIFEST_NAME}: unsupported dataset schema {manifest.get('schema_version')!r}, "
                          f"expected {MANIFEST_SCHEMA}; regenerate the dataset with `crossfuse gen`")
     try:
-        spec = SyntheticClipSpec.from_dict(manifest.get("spec"))
+        spec = _spec_from_dict(manifest.get("spec"))
     except ValueError as e:
         raise ValueError(f"{MANIFEST_NAME}: {e}") from None
     return Dataset(root=root, spec=spec, clips=_read_clips(manifest.get("clips")))

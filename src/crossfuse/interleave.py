@@ -22,6 +22,7 @@ built and then cached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,17 +76,17 @@ def _take_rows_fwd(*arrays, rows, width, shape):
     stacked = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if stacked.shape[0] != rows.source:
         raise ShapeError(f"take_rows: index is over {rows.source} rows, inputs have {stacked.shape[0]}")
-    ctx = {"index": rows.index, "counts": [p.shape[0] for p in parts], "shapes": [a.shape for a in arrays]}
-    return stacked[rows.index].reshape(shape), ctx
+    return stacked[rows.index].reshape(shape), {"rows": rows, "shapes": [a.shape for a in arrays]}
 
 
 def _take_rows_bwd(ctx, g):
-    idx = ctx["index"]
-    g_rows = g.reshape(idx.size, -1)
-    stacked = np.zeros((sum(ctx["counts"]), g_rows.shape[1]), dtype=g.dtype)
-    stacked[idx] = g_rows
+    rows = ctx["rows"]
+    g_rows = g.reshape(rows.index.size, -1)
+    stacked = np.zeros((rows.source, g_rows.shape[1]), dtype=g.dtype)
+    stacked[rows.index] = g_rows
     grads, start = [], 0
-    for n, shape in zip(ctx["counts"], ctx["shapes"]):
+    for shape in ctx["shapes"]:
+        n = math.prod(shape) // g_rows.shape[1]
         grads.append(stacked[start:start + n].reshape(shape))
         start += n
     return tuple(grads)

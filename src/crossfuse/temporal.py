@@ -260,7 +260,8 @@ def load_stream_state(dirpath) -> StreamState:
                          f"got {meta.get('model_hash')!r:.100}")
     missing = sorted(key for keys in names.values() for key in keys if key not in tensors)
     if missing:
-        raise ValueError(f"stream state lists carry tensors the checkpoint does not hold: {missing[:5]}")
+        raise ValueError(f"{dirpath}: stream state lists carry tensors the checkpoint does not hold: "
+                         f"{missing[:5]}")
     # A non-finite carry would turn every later frame of the stream non-finite.
     bad = sorted(key for keys in names.values() for key in keys if not np.isfinite(tensors[key].data).all())
     if bad:

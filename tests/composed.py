@@ -9,17 +9,14 @@ can be checked against the chain bit for bit.
 
 The program records none of the chains' elementwise, normalisation and
 reduction ops, so the engine's registry does not hold them. This module
-registers them on import with their wrappers: ``mul``, ``exp``,
-``reduce_sum`` and ``reduce_mean`` over kernels defined here, the rest over
-the engine's kernels. It also registers ``ssm_scan`` over the scan kernel
-``mamba_block`` runs, so the scan can be recorded and differentiated on its
-own, and ``reshape`` and ``transpose``, which only the tests' own chains
-record.
+registers them on import with their wrappers: ``mul``, ``exp`` and
+``reduce_sum`` over kernels defined here, the rest over the engine's
+kernels. It also registers ``ssm_scan`` over the scan kernel ``mamba_block``
+runs, so the scan can be recorded and differentiated on its own.
 Import it under the one name ``composed``: a second import under another name
 would register every kind twice, which ``register_op`` rejects.
 """
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -84,51 +81,13 @@ def _sum_bwd(ctx, g):
     return (np.ascontiguousarray(_expand_reduced(g, ctx["shape"], ctx["axes"])),)
 
 
-def _mean_fwd(x, axis=None):
-    axes = _normalize_axis(x, axis)
-    return x.mean(axis=axes), {"shape": x.shape, "axes": axes}
-
-
-def _mean_bwd(ctx, g):
-    n = 1
-    for a in ctx["axes"]:
-        n *= ctx["shape"][a]
-    return (np.ascontiguousarray(_expand_reduced(g, ctx["shape"], ctx["axes"]) / n),)
-
-
-def _reshape_fwd(x, shape=()):
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != x.size:
-        raise T.ShapeError(f"reshape: cannot view {x.shape} ({x.size} elements) as {shape}")
-    return x.reshape(shape), {"shape": x.shape}
-
-
-def _reshape_bwd(ctx, g):
-    return (g.reshape(ctx["shape"]),)
-
-
-def _transpose_fwd(x, axes=()):
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise T.ShapeError(f"transpose: axes {axes} are not a permutation of rank {x.ndim}")
-    return np.ascontiguousarray(x.transpose(axes)), {"axes": axes}
-
-
-def _transpose_bwd(ctx, g):
-    inverse = np.argsort(ctx["axes"])
-    return (np.ascontiguousarray(g.transpose(tuple(inverse))),)
-
-
 register_op("mul", _mul_fwd, _mul_bwd)
 register_op("conv1d_causal", T._conv1d_fwd, T._conv1d_bwd)
 register_op("layer_norm", T._layer_norm_fwd, T._layer_norm_bwd)
 register_op("softplus", T._softplus_fwd, T._softplus_bwd)
 register_op("exp", _exp_fwd, _exp_bwd)
 register_op("reduce_sum", _sum_fwd, _sum_bwd)
-register_op("reduce_mean", _mean_fwd, _mean_bwd)
 register_op("huber", _huber_fwd, _huber_bwd)
-register_op("reshape", _reshape_fwd, _reshape_bwd)
-register_op("transpose", _transpose_fwd, _transpose_bwd)
 register_op("ssm_scan", ssm_mod._scan_fwd, ssm_mod._scan_bwd)
 
 
@@ -166,20 +125,8 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     return op_forward("reduce_sum", (x,), axis=axis)
 
 
-def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    return op_forward("reduce_mean", (x,), axis=axis)
-
-
 def huber(x: Tensor, beta: float = 1.0) -> Tensor:
     return op_forward("huber", (x,), beta=beta)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    return op_forward("reshape", (x,), shape=tuple(shape))
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    return op_forward("transpose", (x,), axes=tuple(axes))
 
 
 def scan(params: ssm_mod.SSMParams, tokens: Tensor) -> Tensor:

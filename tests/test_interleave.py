@@ -203,6 +203,12 @@ def test_take_rows_rejects_a_source_with_the_wrong_row_count():
         op_forward("take_rows", [x], rows=rows, width=1, shape=(2, 1))
 
 
+def test_take_rows_rejects_an_input_that_does_not_split_into_rows_of_its_width():
+    inputs = (Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((2, 4), np.float32)))
+    with pytest.raises(ShapeError, match=r"take_rows: inputs \[\(2, 3\), \(2, 4\)\] do not split into rows of 3"):
+        gather(inputs, row_window(0, 4, 4))
+
+
 def test_row_index_is_a_frozen_copy():
     source = np.array([1, 0])
     rows = RowIndex(source, 2)

@@ -7,6 +7,7 @@ and memory carried between frames is a fixed number of floats.
 
 import dataclasses
 import json
+import re
 
 import composed as C
 import numpy as np
@@ -261,7 +262,8 @@ def test_load_stream_state_names_carry_tensors_missing_from_the_checkpoint(tmp_p
     index = json.loads(index_path.read_text())
     index["metadata"]["carry_names"]["f1"].append("f1.carry7")
     index_path.write_text(json.dumps(index))
-    with pytest.raises(ValueError, match=r"does not hold: \['f1.carry7'\]"):
+    message = f"{tmp_path / 'state'}: stream state lists carry tensors the checkpoint does not hold: ['f1.carry7']"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_stream_state(tmp_path / "state")
 
 

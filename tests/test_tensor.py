@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 import crossfuse
 from crossfuse import tensor as T
-from crossfuse.fusion import _gather as gather
-from crossfuse.interleave import row_window
 from crossfuse.tensor import (
     Graph,
     GraphError,
@@ -81,7 +79,7 @@ def test_mul_scale_golden():
     np.testing.assert_array_equal(y.data, [-2.0, 4.0, -6.0])
 
 
-def test_matmul_golden():
+def test_linear_golden():
     a = t32([[1.0, 2.0], [3.0, 4.0]])
     b = t32([[5.0, 6.0], [7.0, 8.0]])
     with Graph() as g:
@@ -181,33 +179,17 @@ def test_sigmoid_stable_at_extremes():
     np.testing.assert_allclose(y, [0.0, 0.5, 1.0], rtol=0, atol=1e-7)
 
 
-def test_concat_and_narrow_golden():
-    # Both are take_rows gathers: a concat through a window over all rows,
-    # a narrow through a shorter one.
-    y = gather((t32([[1.0], [2.0]]), t32([[3.0], [4.0]])), row_window(0, 4, 4))
-    np.testing.assert_array_equal(y.data, [[1.0], [2.0], [3.0], [4.0]])
-    np.testing.assert_array_equal(gather((y,), row_window(1, 2, 4)).data, [[2.0], [3.0]])
-
-
-def test_reshape_transpose_golden():
-    x = t32([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    np.testing.assert_array_equal(C.reshape(x, (3, 2)).data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_array_equal(C.transpose(x, (1, 0)).data, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
-
-
 def test_reductions_golden():
     x = t32([[1.0, 2.0], [3.0, 4.0]])
     assert C.reduce_sum(x).item() == 10.0
     np.testing.assert_array_equal(C.reduce_sum(x, axis=0).data, [4.0, 6.0])
-    np.testing.assert_array_equal(C.reduce_mean(x, axis=1).data, [1.5, 3.5])
-    assert C.reduce_mean(x, axis=(0, 1)).item() == 2.5
 
 
 # ---------------------------------------------------------------------------
 # Shape and usage errors
 # ---------------------------------------------------------------------------
 
-def test_matmul_rejects_rank_and_inner_mismatch():
+def test_linear_rejects_rank_and_inner_mismatch():
     with pytest.raises(ShapeError, match="weight must be rank-2"):
         T.linear(t32([[1.0, 2.0]]), t32([1.0, 2.0]))
     with pytest.raises(ShapeError, match="incompatible with weight"):
@@ -233,23 +215,6 @@ def test_linear_rejects_bad_bias():
 def test_conv1d_rejects_channel_mismatch():
     with pytest.raises(ShapeError, match="conv1d_causal"):
         C.conv1d_causal(t32([[1.0, 2.0]]), t32([[1.0], [1.0]]))
-
-
-def test_narrow_rejects_out_of_range_window():
-    with pytest.raises(ShapeError, match="out of range for 3 rows"):
-        row_window(2, 2, 3)
-    with pytest.raises(ShapeError, match="out of range"):
-        row_window(-1, 1, 3)
-
-
-def test_transpose_rejects_bad_permutation():
-    with pytest.raises(ShapeError, match="permutation"):
-        C.transpose(t32([[1.0]]), (0, 0))
-
-
-def test_concat_rejects_off_axis_mismatch():
-    with pytest.raises(ShapeError, match=r"take_rows: inputs \[\(2, 3\), \(2, 4\)\] do not split into rows of 3"):
-        gather((Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((2, 4), np.float32))), row_window(0, 4, 4))
 
 
 def test_reduce_rejects_duplicate_axes():
@@ -382,7 +347,7 @@ def test_grad_mul_with_broadcast():
     _assert_grads_ok(lambda p: C.reduce_sum(C.mul(p["a"], p["b"])), params)
 
 
-def test_grad_matmul():
+def test_grad_linear():
     rng = _rng(2)
     params = {"a": _param(rng, (3, 4), "a"), "b": _param(rng, (4, 2), "b")}
     _assert_grads_ok(lambda p: C.reduce_sum(T.linear(p["a"], p["b"])), params)
@@ -434,26 +399,13 @@ def test_grad_silu_softplus_exp():
     _assert_grads_ok(f, params)
 
 
-def test_grad_concat_narrow_reshape_transpose():
-    rng = _rng(7)
-    params = {"a": _param(rng, (2, 3), "a"), "b": _param(rng, (2, 3), "b")}
-
-    def f(p):
-        cat = gather((p["a"], p["b"]), row_window(0, 4, 4))  # (4, 3)
-        cut = gather((cat,), row_window(1, 2, 4))            # (2, 3)
-        flip = C.transpose(C.reshape(cut, (3, 2)), (1, 0)) # (2, 3)
-        return C.reduce_sum(C.mul(flip, flip))
-
-    _assert_grads_ok(f, params)
-
-
 def test_grad_reductions():
     rng = _rng(8)
     params = {"x": _param(rng, (3, 4, 2), "x")}
 
     def f(p):
-        partial = C.reduce_mean(p["x"], axis=(0, 2))  # (4,)
-        return C.reduce_sum(C.mul(partial, C.reduce_sum(p["x"], axis=(0, 2))))
+        partial = C.reduce_sum(p["x"], axis=(0, 2))  # (4,)
+        return C.reduce_sum(C.mul(partial, partial))
 
     _assert_grads_ok(f, params)
 
