@@ -4,8 +4,9 @@ The file must carry ``schema_version: 1``. A key the defaults do not have,
 at any level and in any ``model.stages`` entry, is rejected so typos fail
 loudly, as are a value of another JSON kind than its default's, a
 non-integer where the default is an integer, a stage entry missing a key,
-a value outside its interval in ``RANGES`` and a ``data`` section that
-``SyntheticClipSpec`` refuses. Runs are seeded by the config's ``seed``.
+a value outside its interval in ``RANGES``, a ``data`` section that
+``SyntheticClipSpec`` refuses and a stage that ``StageConfig`` refuses.
+Runs are seeded by the config's ``seed``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -60,7 +62,8 @@ class SyntheticClipSpec:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.height < 16 or self.width < 16:
-            raise ValueError(f"image {self.height}x{self.width} too small for blob targets")
+            raise ValueError(f"image {self.height}x{self.width} too small for blob targets: "
+                             "height and width must be >= 16")
         if self.illumination not in ("day", "night"):
             raise ValueError(f"illumination must be day or night, got {self.illumination!r}")
         if self.occlusion not in ("none", "last_frame"):
@@ -68,9 +71,14 @@ class SyntheticClipSpec:
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         if not 0 < self.blob_size_min <= self.blob_size_max < min(self.height, self.width):
-            raise ValueError("blob size range must fit inside the image")
+            raise ValueError("blob size range must fit inside the image: need 0 < blob_size_min <= "
+                             f"blob_size_max < {min(self.height, self.width)}, "
+                             f"got {self.blob_size_min} and {self.blob_size_max}")
         if not 0 < self.blob_count_min <= self.blob_count_max:
-            raise ValueError("blob count range is empty")
+            raise ValueError("blob count range is empty: need 0 < blob_count_min <= blob_count_max, "
+                             f"got {self.blob_count_min} and {self.blob_count_max}")
+        if not 0 <= self.blob_speed_max < math.inf:
+            raise ValueError(f"blob_speed_max must be finite and >= 0, got {self.blob_speed_max!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -107,12 +115,24 @@ DEFAULT_CONFIG = {
 }
 
 # Allowed interval of each key that no later check covers when a stored config
-# loads, as its consumer enforces it: train.lr and train.momentum as SGD does
-# (lr also finite), eval.iou_threshold as match_frame does, and
-# eval.confidence_floor as a probability. SyntheticClipSpec checks data.
+# loads, as its consumer needs it: the seed as numpy's generators take it,
+# counts and widths at least 1, the anchors positive as build_targets divides
+# by them and takes their log, the loss weights finite with a positive huber
+# width, lr finite and momentum below 1 as SGD needs, iou_threshold as
+# match_frame does and confidence_floor as a probability. SyntheticClipSpec
+# checks the rest of data and StageConfig the rest of model.
 RANGES = {
+    "seed": "[0, inf)",
+    "data.clips": "[1, inf)",
+    "model.d_factor": "[1, inf)",
+    "model.anchors.f1": "(0, inf)",
+    "model.anchors.f2": "(0, inf)",
+    "model.anchors.f3": "(0, inf)",
+    "train.steps": "[1, inf)",
     "train.lr": "[0, inf)",
     "train.momentum": "[0, 1)",
+    "train.box_weight": "[0, inf)",
+    "train.huber_beta": "(0, inf)",
     "eval.confidence_floor": "[0, 1]",
     "eval.iou_threshold": "(0, 1]",
 }
@@ -171,8 +191,9 @@ def _check_stages(stages: list, source: str) -> None:
 
 def _check_ranges(cfg: dict, source: str) -> None:
     for key, interval in RANGES.items():
-        section, name = key.split(".")
-        value = cfg[section][name]
+        value = cfg
+        for name in key.split("."):
+            value = value[name]
         low, high = (float(end) for end in interval[1:-1].split(","))
         above = low <= value if interval[0] == "[" else low < value
         below = value <= high if interval[-1] == "]" else value < high

@@ -83,7 +83,8 @@ class StageConfig:
 
     ``patch_sizes`` has one entry per head; every entry must be a power of
     two dividing both spatial dims, and channels must split evenly over
-    heads (head width is channels // heads).
+    heads (head width is channels // heads). Each block size, ``dt_rank``
+    when set among them, is at least 1.
     """
 
     name: str
@@ -102,7 +103,7 @@ class StageConfig:
         if self.height < 1 or self.width < 1 or self.channels < 1:
             raise ValueError(f"{self.name}: degenerate stage dims {self.height}x{self.width}x{self.channels}")
         if self.heads < 1:
-            raise ValueError(f"{self.name}: need at least one head")
+            raise ValueError(f"{self.name}: need at least one head, got heads={self.heads}")
         if len(self.patch_sizes) != self.heads:
             raise ValueError(
                 f"{self.name}: {self.heads} heads but {len(self.patch_sizes)} patch sizes"
@@ -110,10 +111,14 @@ class StageConfig:
         if self.channels % self.heads:
             raise ValueError(f"{self.name}: channels {self.channels} not divisible by heads {self.heads}")
         if self.layers < 1:
-            raise ValueError(f"{self.name}: need at least one layer")
+            raise ValueError(f"{self.name}: need at least one layer, got layers={self.layers}")
+        for key in ("state_size", "conv_kernel", "expand", "dt_rank"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{self.name}: {key} must be >= 1, got {value}")
         for s in self.patch_sizes:
             if not _is_power_of_two(s):
-                raise ValueError(f"{self.name}: patch size {s} is not a power of two")
+                raise ValueError(f"{self.name}: patch_sizes entry {s} is not a power of two")
             if self.height % s or self.width % s:
                 raise ValueError(f"{self.name}: patch size {s} does not divide {self.height}x{self.width}")
 

@@ -16,7 +16,9 @@ stable regardless of parameter values.
 The whole sequence runs as one kernel, ``_scan_fwd``: the B and delta
 projections, the softplus, A = -exp(a_log), the recurrence and the readout
 y = sum_n w_out * h in one call, with its adjoint ``_scan_bwd`` written out
-by hand. Only ``mamba_block`` differentiates the scan. ``scan_sequence`` and
+by hand. The pair is the whole scan: no helper sits below it, and the
+forward hands the adjoint one flat context, the states ``h_all`` among its
+entries. Only ``mamba_block`` differentiates the scan. ``scan_sequence`` and
 ``scan_step`` (the same kernel on a one-token sequence, for streaming
 inference) are plain forward calls of it that record nothing, so they refuse
 to run while a ``Graph`` records.
@@ -122,32 +124,48 @@ class SSMState:
 # The scan kernels
 # ---------------------------------------------------------------------------
 
-def _recurrence_fwd(x, delta, b_seq, a, state0):
-    """h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t over the whole sequence."""
+def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
+    """The whole selective scan as one kernel, y (L, C) from tokens x (L, C).
+
+    Projects B and delta from the tokens, takes A = -exp(a_log), runs the
+    recurrence h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t and reads out
+    y = sum_n w_out * h. The states h (L, C, N) are in the context as
+    ``ctx["h_all"]``.
+    """
     length, channels = x.shape
-    n = a.shape[1]
+    if state0 is None:
+        state0 = np.zeros((channels, a_log.shape[1]), dtype=x.dtype)
+    b_seq, c_b = T._linear_fwd(x, w_b)                  # (L, N)
+    low, c_low = T._linear_fwd(x, dt_down)              # (L, R)
+    up, c_up = T._linear_fwd(low, dt_up)                # (L, C)
+    delta, c_softplus = T._softplus_fwd(up + dt_bias)
+    e_a = np.exp(a_log)                                 # A = -e_a, (C, N)
+    a = -e_a
     d_a = np.exp(delta[:, :, None] * a[None])              # (L, C, N)
     d_bx = (delta * x)[:, :, None] * b_seq[:, None, :]     # (L, C, N)
-    h_all = np.empty((length, channels, n), dtype=x.dtype)
+    h_all = np.empty((length, channels, a.shape[1]), dtype=x.dtype)
     h = state0
     for d_a_t, d_bx_t, h_t in zip(d_a, d_bx, h_all):
         np.multiply(d_a_t, h, out=h_t)
         np.add(h_t, d_bx_t, out=h_t)
         h = h_t
-    ctx = {"x": x, "delta": delta, "b_seq": b_seq, "a": a,
-           "state0": state0, "d_a": d_a, "h_all": h_all}
-    return h_all, ctx
+    y = np.einsum("lcn,cn->lc", h_all, w_out)
+    ctx = {"x": x, "b": c_b, "low": c_low, "up": c_up, "softplus": c_softplus, "delta": delta,
+           "b_seq": b_seq, "a": a, "e_a": e_a, "state0": state0, "d_a": d_a, "h_all": h_all,
+           "w_out": w_out}
+    return y, ctx
 
 
-def _recurrence_bwd(ctx, g):
+def _scan_bwd(ctx, g):
     x, delta, b_seq, a = ctx["x"], ctx["delta"], ctx["b_seq"], ctx["a"]
     state0, d_a, h_all = ctx["state0"], ctx["d_a"], ctx["h_all"]
-    length = x.shape[0]
+    g_w_out = np.einsum("lc,lcn->cn", g, h_all)
+    g_h = g[:, :, None] * ctx["w_out"]
     g_dbx = np.empty_like(d_a)
     acc = np.zeros_like(state0)
-    for t in range(length - 1, 0, -1):
-        acc = d_a[t] * np.add(acc, g[t], out=g_dbx[t])
-    np.add(acc, g[0], out=g_dbx[0])
+    for t in range(x.shape[0] - 1, 0, -1):
+        acc = d_a[t] * np.add(acc, g_h[t], out=g_dbx[t])
+    np.add(acc, g_h[0], out=g_dbx[0])
     g_da = np.empty_like(d_a)                              # g_dbx times the previous state
     np.multiply(g_dbx[0], state0, out=g_da[0])
     np.multiply(g_dbx[1:], h_all[:-1], out=g_da[1:])
@@ -157,34 +175,7 @@ def _recurrence_bwd(ctx, g):
     g_x = g_dbx_b * delta
     g_b = (g_dbx * (delta * x)[:, :, None]).sum(axis=1)
     g_a = (g_da_da * delta[:, :, None]).sum(axis=0)
-    return g_x, g_delta, g_b, g_a
-
-
-def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
-    """The whole selective scan as one kernel, y (L, C) from tokens x (L, C).
-
-    Projects B and delta from the tokens, takes A = -exp(a_log), runs the
-    recurrence and reads out y = sum_n w_out * h. The states h (L, C, N) are
-    in the context as ``ctx["scan"]["h_all"]``.
-    """
-    if state0 is None:
-        state0 = np.zeros((x.shape[1], a_log.shape[1]), dtype=x.dtype)
-    b_seq, c_b = T._linear_fwd(x, w_b)                  # (L, N)
-    low, c_low = T._linear_fwd(x, dt_down)              # (L, R)
-    up, c_up = T._linear_fwd(low, dt_up)                # (L, C)
-    delta, c_delta = T._softplus_fwd(up + dt_bias)
-    e_a = np.exp(a_log)                                 # A = -e_a, (C, N)
-    h_all, c_scan = _recurrence_fwd(x, delta, b_seq, -e_a, state0)
-    y = np.einsum("lcn,cn->lc", h_all, w_out)
-    ctx = {"b": c_b, "low": c_low, "up": c_up, "delta": c_delta, "e_a": e_a, "w_out": w_out,
-           "scan": c_scan}
-    return y, ctx
-
-
-def _scan_bwd(ctx, g):
-    g_w_out = np.einsum("lc,lcn->cn", g, ctx["scan"]["h_all"])
-    g_x, g_delta, g_b, g_a = _recurrence_bwd(ctx["scan"], g[:, :, None] * ctx["w_out"])
-    g_pre, = T._softplus_bwd(ctx["delta"], g_delta)
+    g_pre, = T._softplus_bwd(ctx["softplus"], g_delta)
     g_low, g_dt_up = T._linear_bwd(ctx["up"], g_pre)
     g_x_delta, g_dt_down = T._linear_bwd(ctx["low"], g_low)
     g_x_b, g_w_b = T._linear_bwd(ctx["b"], g_b)
@@ -215,7 +206,7 @@ def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] 
                        params.dt_bias.data, params.a_log.data, params.w_out.data,
                        state0=None if state0 is None else state0.h.data)
     # A copy, so the state does not keep the whole (L, C, N) h_all alive.
-    return Tensor(y), SSMState(Tensor(ctx["scan"]["h_all"][-1].copy()))
+    return Tensor(y), SSMState(Tensor(ctx["h_all"][-1].copy()))
 
 
 def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, SSMState]:

@@ -157,6 +157,13 @@ def test_config_rejects_bad_shapes():
         _cfg(heads=0, patch_sizes=())
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", ["state_size", "conv_kernel", "expand", "dt_rank"])
+def test_config_rejects_a_block_geometry_below_one(key, value):
+    with pytest.raises(ValueError, match=f"^s: {key} must be >= 1, got {value}$"):
+        _cfg(**{key: value})
+
+
 # ---------------------------------------------------------------------------
 # Stage forward
 # ---------------------------------------------------------------------------

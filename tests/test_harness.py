@@ -256,7 +256,9 @@ def _repeat_frame_id(manifest):
      r"clips\[0\]\.frames\[1\]\.boxes\[0\]\.w: must be > 0, got -1\.0"),
     (lambda m: m["spec"].update(frames=2.5), r"spec\.frames: must be an integer, got 2\.5"),
     (lambda m: m["spec"].update(stride=0), r"spec: stride must be >= 1, got 0"),
-], ids=["repeated-frame_id", "frame-without-boxes", "negative-width", "float-frames", "zero-stride"])
+    (lambda m: m["spec"].update(blob_speed_max=-1.0), r"spec: blob_speed_max must be finite and >= 0, got -1\.0"),
+], ids=["repeated-frame_id", "frame-without-boxes", "negative-width", "float-frames", "zero-stride",
+        "negative-speed"])
 def test_load_dataset_rejects_a_bad_manifest_entry(tmp_path, edit, error):
     manifest = _small_dataset(tmp_path)
     edit(manifest)
@@ -1061,22 +1063,33 @@ def test_load_detector_names_the_checkpoint_and_key_of_a_broken_stored_config(tm
 
 # One value outside each interval of config.RANGES, of the key's JSON kind, so
 # that only the range check can refuse it.
-OUT_OF_RANGE = [("train", "lr", -0.5), ("train", "momentum", 1.0),
-                ("eval", "confidence_floor", 1.5), ("eval", "iou_threshold", 0.0)]
+OUT_OF_RANGE = [("seed", -1), ("data.clips", 0), ("model.d_factor", 0), ("model.anchors.f1", 0.0),
+                ("model.anchors.f2", -1.0), ("model.anchors.f3", -0.5), ("train.steps", 0),
+                ("train.lr", -0.5), ("train.momentum", 1.0), ("train.box_weight", -1.0),
+                ("train.huber_beta", 0.0), ("eval.confidence_floor", 1.5), ("eval.iou_threshold", 0.0)]
+
+
+def _set_key(cfg: dict, key: str, value) -> None:
+    """Set the value at a dotted config key such as ``model.anchors.f1``; a
+    number indexes a list, as in ``model.stages.0.heads``."""
+    *path, leaf = (int(name) if name.isdigit() else name for name in key.split("."))
+    for name in path:
+        cfg = cfg[name]
+    cfg[leaf] = value
 
 
 def test_every_ranged_config_key_has_an_out_of_range_case():
-    assert sorted(f"{section}.{key}" for section, key, _ in OUT_OF_RANGE) == sorted(RANGES)
+    assert sorted(key for key, _ in OUT_OF_RANGE) == sorted(RANGES)
 
 
-@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE, ids=[f"{s}.{k}" for s, k, _ in OUT_OF_RANGE])
-def test_load_detector_rejects_a_stored_config_value_out_of_its_range(tmp_path, section, key, value):
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE, ids=[key for key, _ in OUT_OF_RANGE])
+def test_load_detector_rejects_a_stored_config_value_out_of_its_range(tmp_path, key, value):
     cfg = _small_mambast_cfg()
     stored = json.loads(json.dumps(cfg))
-    stored[section][key] = value
+    _set_key(stored, key, value)
     save_checkpoint(tmp_path / "run", DetectionModel(cfg).named_parameters(), metadata={
         "kind": "detection_checkpoint", "config": stored, "config_hash": config_model_hash(cfg)})
-    message = f"config key '{section}.{key}' must be in {RANGES[f'{section}.{key}']}, got {value!r}"
+    message = f"config key '{key}' must be in {RANGES[key]}, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(f"key 'config' is not a valid config: ValueError: <dict>: {message}")):
         load_detector(tmp_path / "run")
 
@@ -1092,6 +1105,9 @@ def test_load_detector_rejects_a_stored_config_value_out_of_its_range(tmp_path, 
     pytest.param({"blob_size_max": 70}, "blob size range must fit inside the image", id="blob-wider-than-image"),
     pytest.param({"blob_size_min": 30, "blob_size_max": 20}, "blob size range must fit inside the image",
                  id="blob-sizes-reversed"),
+    pytest.param({"blob_speed_max": -1.0}, "blob_speed_max must be finite and >= 0, got -1.0", id="speed--1"),
+    pytest.param({"blob_speed_max": math.nan}, "blob_speed_max must be finite and >= 0, got nan", id="speed-nan"),
+    pytest.param({"blob_speed_max": math.inf}, "blob_speed_max must be finite and >= 0, got inf", id="speed-inf"),
 ])
 def test_config_rejects_a_data_section_that_is_not_a_valid_clip_spec(data, problem):
     with pytest.raises(ValueError, match=re.escape(f"run.json: config section 'data': {problem}")):
@@ -1109,6 +1125,17 @@ def test_load_detector_rejects_a_stored_config_with_an_invalid_data_section(tmp_
         load_detector(tmp_path / "run")
 
 
+def test_load_detector_rejects_a_stored_config_with_a_zero_conv_kernel(tmp_path):
+    cfg = _small_mambast_cfg()
+    stored = json.loads(json.dumps(cfg))
+    stored["model"]["conv_kernel"] = 0
+    save_checkpoint(tmp_path / "run", DetectionModel(cfg).named_parameters(), metadata={
+        "kind": "detection_checkpoint", "config": stored, "config_hash": config_model_hash(cfg)})
+    message = "key 'config' is not a valid config: ValueError: f1: conv_kernel must be >= 1, got 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_detector(tmp_path / "run")
+
+
 def test_config_takes_the_ends_of_each_range():
     for section, key, value in [("data", "frames", 1), ("train", "lr", 0.0), ("train", "lr", 1e30),
                                 ("train", "momentum", 0.0), ("eval", "confidence_floor", 0.0),
@@ -1117,6 +1144,44 @@ def test_config_takes_the_ends_of_each_range():
     for value in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match=re.escape("config key 'train.lr' must be in [0, inf)")):
             normalize_config({"schema_version": 1, "train": {"lr": value}})
+
+
+def _numeric_keys(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _numeric_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f"{prefix}{key}", value
+
+
+# Every numeric leaf of the defaults and every integer of the first stage
+# entry, an integer at 0 and -1 and a float at 0.0, -1.0, NaN and inf.
+SWEEP = [(key, value)
+         for key, default in [*_numeric_keys(DEFAULT_CONFIG), ("model.stages.0.heads", 2),
+                              ("model.stages.0.layers", 1), ("model.stages.0.patch_sizes.0", 1)]
+         for value in ((0, -1) if isinstance(default, int) else (0.0, -1.0, math.nan, math.inf))]
+
+
+@pytest.mark.parametrize("key, value", SWEEP, ids=[f"{key}={value}" for key, value in SWEEP])
+def test_a_numeric_config_value_fails_at_load_or_trains_and_evaluates(tmp_path, key, value):
+    """Each value either fails ``normalize_config`` with a ValueError that
+    names its key (in full if it is ranged), or generates, trains a step and
+    evaluates with a finite loss."""
+    raw = default_config()
+    raw["data"].update(height=32, width=32, frames=2, clips=1, blob_size_min=8, blob_size_max=12)
+    raw["train"]["steps"] = 1
+    _set_key(raw, key, value)
+    try:
+        cfg = normalize_config(raw)
+    except ValueError as e:
+        name = key if key in RANGES else next(part for part in reversed(key.split(".")) if not part.isdigit())
+        assert name in str(e), e
+        return
+    dataset = _dataset(cfg, tmp_path)
+    loss = train(cfg, dataset, tmp_path / "run")["final_loss"]
+    assert loss is not None and math.isfinite(loss)
+    model, _ = load_detector(tmp_path / "run")
+    evaluate(model, dataset)
 
 
 def test_load_detector_rejects_tensors_the_model_does_not_have(tmp_path):

@@ -5,7 +5,9 @@ a float64 reference recurrence written here from the update equations, and
 token-at-a-time folding with ``scan_step``. Its kernel and adjoint are also
 checked against the chain of core ops they replace, through the ``ssm_scan``
 kind that ``composed`` registers: the readout and its ``w_out`` gradient
-against the chain run in float64, everything else bit for bit.
+against the chain run in float64, everything else bit for bit. The chain's
+recurrence is a stepwise forward and adjoint written here, which share no
+code with the kernel.
 ``scan_sequence`` and ``scan_step`` run unrecorded and have no gradients of
 their own.
 """
@@ -19,7 +21,6 @@ from composed import composed_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfuse import ssm as ssm_mod
 from crossfuse import tensor as T
 from crossfuse.ssm import (
     MambaBlockParams,
@@ -434,6 +435,18 @@ def test_block_gradients_flow_to_every_family():
 # The fused scan op against the chain of core ops it replaces
 # ---------------------------------------------------------------------------
 
+def _stepwise_recurrence_fwd(x, delta, b_seq, a, state0):
+    """h_t = exp(delta_t A) h_{t-1} + (delta_t x_t) B_t, one token at a time,
+    written from the update equations; the scan kernel must match it."""
+    d_a = np.stack([np.exp(delta[t][:, None] * a) for t in range(len(x))])
+    h_all = np.empty_like(d_a)
+    h = state0
+    for t in range(len(x)):
+        h = h_all[t] = d_a[t] * h + (delta[t] * x[t])[:, None] * b_seq[t][None, :]
+    ctx = {"x": x, "delta": delta, "b_seq": b_seq, "a": a, "state0": state0, "d_a": d_a, "h_all": h_all}
+    return h_all, ctx
+
+
 def _stepwise_recurrence_bwd(ctx, g):
     """The recurrence's adjoint as first written, forming g_da inside the
     loop and every product where it is used; the leaner kernel must match it."""
@@ -455,9 +468,10 @@ def _stepwise_recurrence_bwd(ctx, g):
     return g_x, g_delta, g_b, g_a, acc
 
 
-# The recurrence alone as a taped op, so the oracle below records the
-# twelve-node chain that the scan kernel replaces.
-T.register_op("test_recurrence", ssm_mod._recurrence_fwd, _stepwise_recurrence_bwd)
+# The recurrence alone as a taped op, stepwise and sharing no code with the
+# scan kernel, so the oracle below records the twelve-node chain that the
+# kernel replaces.
+T.register_op("test_recurrence", _stepwise_recurrence_fwd, _stepwise_recurrence_bwd)
 
 
 def _composed_scan(params: SSMParams, tokens: Tensor, state0=None):
