@@ -185,14 +185,17 @@ class SGD:
         self.velocity = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self, params: dict[str, Tensor], grads: dict[str, Tensor]) -> dict[str, Tensor]:
+        """Update each velocity in place and return the new parameters."""
         out = {}
         for name, p in params.items():
             g = grads.get(name)
             if g is None:
                 continue
-            v = self.momentum * self.velocity[name] + g.data
-            self.velocity[name] = v
-            out[name] = Tensor(p.data - self.lr * v, name=name, trainable=True)
+            v = self.velocity[name]
+            np.multiply(v, self.momentum, out=v)
+            np.add(v, g.data, out=v)
+            step = self.lr * v
+            out[name] = Tensor(np.subtract(p.data, step, out=step), name=name, trainable=True)
         return out
 
 
@@ -247,6 +250,7 @@ def train(
                              f"diagnostics written to {out / 'diagnostics.json'}")
         grads = backward(graph, loss, parameters=params.values())
         model.replace_parameters(opt.step(params, grads))
+        del graph, loss, frames, params, grads  # else they stay alive through the next step's peak
 
         log.append({"step": step, "loss": loss_value, "clip": clip.clip_id})
         if not quiet and (step == 1 or step % 50 == 0):

@@ -16,10 +16,13 @@ stable regardless of parameter values.
 The whole sequence runs as one kernel, ``_scan_fwd``: the B and delta
 projections, the softplus, A = -exp(a_log), the recurrence and the readout
 y = sum_n w_out * h in one call, with its adjoint ``_scan_bwd`` written out
-by hand. The pair is the whole scan: no helper sits below it, and the
-forward hands the adjoint one flat context, the states ``h_all`` among its
-entries. Only ``mamba_block`` differentiates the scan. ``scan_sequence`` and
-``scan_step`` (the same kernel on a one-token sequence, for streaming
+by hand. The pair is the whole scan: no helper sits below it but
+``_decay``, the one expression for exp(delta A), and the forward hands the
+adjoint one flat context. The states ``h_all`` are the only (L, C, N) array
+in it; the adjoint recomputes exp(delta A) rather than keep it, and both
+directions reuse their (L, C, N) buffers in place, with the same bits as
+fresh arrays. Only ``mamba_block`` differentiates the scan. ``scan_sequence``
+and ``scan_step`` (the same kernel on a one-token sequence, for streaming
 inference) are plain forward calls of it that record nothing, so they refuse
 to run while a ``Graph`` records.
 
@@ -124,57 +127,72 @@ class SSMState:
 # The scan kernels
 # ---------------------------------------------------------------------------
 
+def _decay(delta, a):
+    """exp(delta_t A), (L, C, N), exponentiated in place. The einsum outer
+    product is one multiply per element, summed into zeros: that turns a -0.0
+    product into +0.0, which exp maps to 1 either way, so the bits are those
+    of the broadcast product."""
+    d_a = np.einsum("lc,cn->lcn", delta, a)
+    return np.exp(d_a, out=d_a)
+
+
 def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
     """The whole selective scan as one kernel, y (L, C) from tokens x (L, C).
 
     Projects B and delta from the tokens, takes A = -exp(a_log), runs the
     recurrence h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t and reads out
-    y = sum_n w_out * h. The states h (L, C, N) are in the context as
-    ``ctx["h_all"]``.
+    y = sum_n w_out * h. It holds two (L, C, N) arrays: exp(delta A), whose
+    rows take the products exp(delta_t A) h_{t-1}, and delta B x, whose rows
+    become the states. The states h (L, C, N) are the one such array in the
+    context, as ``ctx["h_all"]``; ``_scan_bwd`` recomputes exp(delta A).
+    ``state0`` is read, never written.
     """
-    length, channels = x.shape
     if state0 is None:
-        state0 = np.zeros((channels, a_log.shape[1]), dtype=x.dtype)
+        state0 = np.zeros((x.shape[1], a_log.shape[1]), dtype=x.dtype)
     b_seq, c_b = T._linear_fwd(x, w_b)                  # (L, N)
     low, c_low = T._linear_fwd(x, dt_down)              # (L, R)
     up, c_up = T._linear_fwd(low, dt_up)                # (L, C)
     delta, c_softplus = T._softplus_fwd(up + dt_bias)
     e_a = np.exp(a_log)                                 # A = -e_a, (C, N)
     a = -e_a
-    d_a = np.exp(delta[:, :, None] * a[None])              # (L, C, N)
-    d_bx = (delta * x)[:, :, None] * b_seq[:, None, :]     # (L, C, N)
-    h_all = np.empty((length, channels, a.shape[1]), dtype=x.dtype)
+    d_a = _decay(delta, a)
+    # delta B x as a broadcast product, not an einsum: einsum sums into zeros
+    # and so turns a -0.0 product into +0.0.
+    h_all = (delta * x)[:, :, None] * b_seq[:, None, :]
     h = state0
-    for d_a_t, d_bx_t, h_t in zip(d_a, d_bx, h_all):
-        np.multiply(d_a_t, h, out=h_t)
-        np.add(h_t, d_bx_t, out=h_t)
+    for d_a_t, h_t in zip(d_a, h_all):
+        np.multiply(d_a_t, h, out=d_a_t)
+        np.add(d_a_t, h_t, out=h_t)
         h = h_t
     y = np.einsum("lcn,cn->lc", h_all, w_out)
     ctx = {"x": x, "b": c_b, "low": c_low, "up": c_up, "softplus": c_softplus, "delta": delta,
-           "b_seq": b_seq, "a": a, "e_a": e_a, "state0": state0, "d_a": d_a, "h_all": h_all,
-           "w_out": w_out}
+           "b_seq": b_seq, "a": a, "e_a": e_a, "state0": state0, "h_all": h_all, "w_out": w_out}
     return y, ctx
 
 
 def _scan_bwd(ctx, g):
+    """Adjoint of ``_scan_fwd``. Recomputes exp(delta A) as the forward did,
+    turns the state gradients into the delta B x gradients in place, then
+    uses the spent exp(delta A) buffer for each product it reduces."""
     x, delta, b_seq, a = ctx["x"], ctx["delta"], ctx["b_seq"], ctx["a"]
-    state0, d_a, h_all = ctx["state0"], ctx["d_a"], ctx["h_all"]
+    state0, h_all = ctx["state0"], ctx["h_all"]
+    d_a = _decay(delta, a)
     g_w_out = np.einsum("lc,lcn->cn", g, h_all)
-    g_h = g[:, :, None] * ctx["w_out"]
-    g_dbx = np.empty_like(d_a)
+    g_dbx = g[:, :, None] * ctx["w_out"]                   # the state gradients until the loop
     acc = np.zeros_like(state0)
     for t in range(x.shape[0] - 1, 0, -1):
-        acc = d_a[t] * np.add(acc, g_h[t], out=g_dbx[t])
-    np.add(acc, g_h[0], out=g_dbx[0])
+        acc = d_a[t] * np.add(acc, g_dbx[t], out=g_dbx[t])
+    np.add(acc, g_dbx[0], out=g_dbx[0])
     g_da = np.empty_like(d_a)                              # g_dbx times the previous state
     np.multiply(g_dbx[0], state0, out=g_da[0])
     np.multiply(g_dbx[1:], h_all[:-1], out=g_da[1:])
-    g_da_da = g_da * d_a
-    g_dbx_b = (g_dbx * b_seq[:, None, :]).sum(axis=-1)
-    g_delta = (g_da_da * a[None]).sum(axis=-1) + g_dbx_b * x
+    np.multiply(g_da, d_a, out=g_da)
+    scratch = d_a  # spent: it takes each product that a reduction sums
+    g_dbx_b = np.multiply(g_dbx, b_seq[:, None, :], out=scratch).sum(axis=-1)
+    g_delta = np.multiply(g_da, a[None], out=scratch).sum(axis=-1) + g_dbx_b * x
     g_x = g_dbx_b * delta
-    g_b = (g_dbx * (delta * x)[:, :, None]).sum(axis=1)
-    g_a = (g_da_da * delta[:, :, None]).sum(axis=0)
+    g_b = np.multiply(g_dbx, (delta * x)[:, :, None], out=scratch).sum(axis=1)
+    g_a = np.multiply(g_da, delta[:, :, None], out=scratch).sum(axis=0)
     g_pre, = T._softplus_bwd(ctx["softplus"], g_delta)
     g_low, g_dt_up = T._linear_bwd(ctx["up"], g_pre)
     g_x_delta, g_dt_down = T._linear_bwd(ctx["low"], g_low)

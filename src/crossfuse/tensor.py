@@ -136,7 +136,8 @@ def register_op(kind: str, forward: Callable, backward: Callable) -> None:
 @dataclass(slots=True)
 class Node:
     """One recorded op. ``backward`` is the adjoint the registry held for the
-    kind when the op ran, so ``backward()`` needs no registry lookup."""
+    kind when the op ran, so ``backward()`` needs no registry lookup. ``ctx``
+    is ``None`` once ``backward()`` has passed the node."""
 
     kind: str
     inputs: tuple[Tensor, ...]
@@ -151,11 +152,13 @@ class Graph:
     Use as a context manager; ops executed inside the ``with`` block are
     appended. A graph expects a single recording thread, but independent
     graphs on different threads do not interfere (the active-graph stack is
-    thread-local).
+    thread-local). ``backward`` runs once per graph: it frees each node's
+    context as it goes and marks the graph ``spent``. The nodes stay.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.spent = False
 
     def __enter__(self) -> "Graph":
         _tls.stack.append(self)
@@ -201,18 +204,29 @@ def backward(graph: Graph, loss: Tensor, parameters: Iterable[Tensor]) -> dict[s
 
     Walks the tape once in reverse. A parameter is matched by identity, so
     pass the very tensors the recorded ops consumed; one that never touched
-    the loss gets an explicit zero gradient.
+    the loss gets an explicit zero gradient. An adjoint is kept only for a
+    node's output or a parameter, never for a constant input. Each node's
+    context is set to ``None`` once its adjoint has run, so the walk frees
+    the saved activations as it goes and a graph can run backward only once.
     """
     if not graph.nodes:
         raise GraphError("cannot run backward on an empty graph")
+    if graph.spent:
+        raise GraphError("backward already ran on this graph and freed its contexts")
     if loss.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
+    parameters = list(parameters)
+    graph.spent = True
+    wanted = {id(p) for p in parameters}
+    wanted.update(id(node.output) for node in graph.nodes)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(graph.nodes):
         g_out = grads.pop(id(node.output), None)
         if g_out is None:
+            node.ctx = None
             continue
         in_grads = node.backward(node.ctx, g_out)
+        node.ctx = None
         if len(in_grads) != len(node.inputs):
             raise GraphError(f"{node.kind}: backward returned {len(in_grads)} grads for {len(node.inputs)} inputs")
         for t, g in zip(node.inputs, in_grads):
@@ -221,6 +235,8 @@ def backward(graph: Graph, loss: Tensor, parameters: Iterable[Tensor]) -> dict[s
             if g.shape != t.shape:
                 raise GraphError(f"{node.kind}: gradient shape {g.shape} != input shape {t.shape}")
             key = id(t)
+            if key not in wanted:
+                continue
             prev = grads.get(key)
             grads[key] = g if prev is None else prev + g
     out: dict[str, Tensor] = {}

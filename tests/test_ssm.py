@@ -26,6 +26,7 @@ from crossfuse.ssm import (
     MambaBlockParams,
     SSMParams,
     SSMState,
+    _scan_fwd,
     block_forward,
     init_block,
     init_ssm,
@@ -296,6 +297,42 @@ def test_scan_refuses_to_run_while_a_graph_records():
         with pytest.raises(GraphError, match="outside a Graph"):
             scan_step(params, Tensor(np.ones(1, np.float32)), SSMState.zeros(1, 1))
     assert len(g) == 0
+
+
+def _arrays(value):
+    """Every numpy array in a kernel context, nested dicts included."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        return [a for v in value.values() for a in _arrays(v)]
+    return []
+
+
+def test_scan_context_holds_the_states_as_its_one_state_sized_array():
+    rng = np.random.default_rng(3)
+    length, channels, state = 6, 5, 3
+    params = _random_params(rng, channels, state, 2)
+    tokens = rng.normal(0, 1, (length, channels)).astype(np.float32)
+    _, ctx = _scan_fwd(tokens, *(t.data for t in (params.w_b, params.dt_down, params.dt_up,
+                                                 params.dt_bias, params.a_log, params.w_out)))
+    big = [a for a in _arrays(ctx) if a.shape == (length, channels, state)]
+    assert len(big) == 1 and big[0] is ctx["h_all"]
+
+
+def test_scan_never_writes_into_the_callers_state():
+    rng = np.random.default_rng(4)
+    channels, state = 4, 3
+    params = _random_params(rng, channels, state, 1)
+    tokens = rng.normal(0, 1, (5, channels)).astype(np.float32)
+    h0 = rng.normal(0, 1, (channels, state)).astype(np.float32)
+    before = h0.tobytes()
+    _scan_fwd(tokens, *(t.data for t in (params.w_b, params.dt_down, params.dt_up,
+                                         params.dt_bias, params.a_log, params.w_out)), state0=h0)
+    assert h0.tobytes() == before  # a writeable state, so only the bytes can tell
+    state0 = SSMState(Tensor(h0))
+    scan_sequence(params, Tensor(tokens), state0)
+    scan_step(params, Tensor(tokens[0]), state0)
+    assert state0.h.data.tobytes() == before
 
 
 def test_ssm_params_shape_validation():

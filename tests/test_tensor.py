@@ -4,6 +4,7 @@ differences, and tape bookkeeping."""
 import os
 import subprocess
 import sys
+import weakref
 
 import composed as C
 import numpy as np
@@ -302,6 +303,71 @@ def test_backward_serves_only_the_parameters_it_is_given():
     np.testing.assert_array_equal(grads["w"].data, [3.0, 4.0])
     with pytest.raises(TypeError):
         backward(g, y)  # the parameters are named by the caller, always
+
+
+def test_backward_frees_every_context_keeps_the_nodes_and_runs_once():
+    w = T.parameter(np.array([[1.0, -2.0], [0.5, 3.0]], np.float32), "w")
+    x = t32([[1.0, 2.0]])
+    with Graph() as g:
+        h = T.linear(x, w)
+        T.silu(h)  # recorded, but off the loss's path
+        y = C.reduce_sum(T.silu(T.add(h, t32([1.0, 1.0]))))
+    kinds = [n.kind for n in g.nodes]
+    assert len(kinds) == 5 and all(n.ctx is not None for n in g.nodes)
+    grads = backward(g, y, [w])
+    assert len(g) == 5 and [n.kind for n in g.nodes] == kinds
+    assert all(n.ctx is None for n in g.nodes)
+    with pytest.raises(GraphError, match="already ran"):
+        backward(g, y, [w])
+    with Graph() as again:
+        y2 = C.reduce_sum(T.silu(T.add(T.linear(x, w), t32([1.0, 1.0]))))
+    np.testing.assert_array_equal(backward(again, y2, [w])["w"].data, grads["w"].data)
+
+
+# The emitter hands back an adjoint for its constant input and keeps a weak
+# reference to it; the check, which the backward walk reaches two nodes later,
+# reads whether anything still holds that adjoint.
+_constant_adjoints: list = []
+_freed_when_checked: list = []
+
+
+def _emit_constant_adjoint_bwd(ctx, g):
+    g_c = g.copy()
+    _constant_adjoints.append(weakref.ref(g_c))
+    return g, g_c
+
+
+def _check_constant_adjoint_bwd(ctx, g):
+    _freed_when_checked.append(_constant_adjoints[-1]() is None)
+    return (g,)
+
+
+register_op("test_emit_constant_adjoint", lambda x, c: (x + c, None), _emit_constant_adjoint_bwd)
+register_op("test_check_constant_adjoint", lambda x: (x.copy(), None), _check_constant_adjoint_bwd)
+
+
+def test_backward_keeps_no_adjoint_for_a_constant():
+    _constant_adjoints.clear()
+    _freed_when_checked.clear()
+    w = T.parameter(np.array([1.0, 2.0], np.float32), "w")
+    with Graph() as g:
+        h = T.silu(T.op_forward("test_check_constant_adjoint", (w,)))
+        y = C.reduce_sum(T.op_forward("test_emit_constant_adjoint", (h, t32([3.0, 4.0]))))
+    grads = backward(g, y, [w])
+    assert _freed_when_checked == [True]
+    s = 1.0 / (1.0 + np.exp(-np.array([1.0, 2.0])))
+    np.testing.assert_allclose(grads["w"].data, s + np.array([1.0, 2.0]) * s * (1 - s), rtol=1e-6)
+
+
+register_op("test_wrong_constant_adjoint", lambda x, c: (x + c, None), lambda ctx, g: (g, g[:1]))
+
+
+def test_backward_checks_the_shape_of_a_constants_adjoint():
+    w = T.parameter(np.ones(2, np.float32), "w")
+    with Graph() as g:
+        y = C.reduce_sum(T.op_forward("test_wrong_constant_adjoint", (w, t32([1.0, 1.0]))))
+    with pytest.raises(GraphError, match="gradient shape"):
+        backward(g, y, [w])
 
 
 def test_linear_bias_gradient_golden():
