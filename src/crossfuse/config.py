@@ -1,17 +1,14 @@
 """Run configuration: a single JSON document drives gen/train/eval/profile.
 
-The file must carry ``schema_version: 1``. A key the defaults do not have,
-at any level and in any ``model.stages`` entry, is rejected so typos fail
-loudly, as are a value of another JSON kind than its default's, a
-non-integer where the default is an integer, a stage entry missing a key,
-a value outside its interval in ``RANGES``, a ``data`` section that
-``SyntheticClipSpec`` refuses and a stage that ``StageConfig`` refuses.
-Runs are seeded by the config's ``seed``.
+The file must be a JSON object with ``schema_version: 1``. One walk,
+``checked_copy``, copies it over ``DEFAULT_CONFIG`` and checks it: see its
+docstring. A key the defaults lack is rejected at any level, so typos fail
+loudly. ``SyntheticClipSpec`` then checks the ``data`` section and
+``StageConfig`` each stage. Runs are seeded by the config's ``seed``.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -139,7 +136,7 @@ RANGES = {
 
 
 def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
+    return normalize_config({"schema_version": SCHEMA_VERSION})
 
 
 # JSON kinds in match order: bool before number, as True is an int.
@@ -147,74 +144,70 @@ _JSON_KINDS = (("a boolean", bool), ("a number", numbers.Real), ("a string", str
                ("an array", (list, tuple)), ("an object", dict))
 
 
-def _json_kind(value) -> str:
+def json_kind(value) -> str:
+    """The JSON kind of ``value`` in the words errors use, such as ``an array``."""
     return next((kind for kind, types in _JSON_KINDS if isinstance(value, types)), type(value).__name__)
 
 
-def _check_kind(default, value, source: str, key: str) -> None:
-    """Raise unless ``value`` is of ``default``'s JSON kind, and an integer where
-    it is; an array's items are checked against the default's first item."""
-    want = _json_kind(default)
-    if _json_kind(value) != want:
-        raise ValueError(f"{source}: config key '{key}' must be {want}, got {type(value).__name__}")
-    if isinstance(default, int) and not isinstance(value, int):
-        raise ValueError(f"{source}: config key '{key}' must be an integer, got {value!r}")
+def _key_error(source: str | None, key: str, problem: str) -> ValueError:
+    return ValueError(f"{source}: config key '{key}' {problem}" if source is not None else f"{key}: {problem}")
+
+
+def checked_copy(default, value, source: str | None, key: str = ""):
+    """Check the JSON ``value`` against ``default`` and return a fresh copy of it.
+
+    Kinds must match, an integer default takes only an integer, an array's
+    items are checked against its first item and a number at a ``RANGES`` key
+    against its interval. An object refuses unknown keys and fills a missing
+    one from its default, but a ``model.stages`` entry, or any object when
+    ``source`` is None, must have exactly its default's keys. Errors read
+    ``<source>: config key '<key>' ...``, or ``<key>: ...`` when ``source`` is
+    None, as for a manifest's ``spec``."""
+    want = json_kind(default)
+    if json_kind(value) != want:
+        raise _key_error(source, key, f"must be {want}, got {type(value).__name__}")
+    if isinstance(default, dict):
+        prefix = f"{key}." if key else ""
+        unknown = [name for name in value if name not in default]
+        if source is None or key.endswith("]"):  # a spec or a stage entry: exactly the default's keys
+            missing = [name for name in default if name not in value]
+            for problem, names in (("unknown", unknown), ("missing", missing)):
+                if names:
+                    raise ValueError(f"{key}: {problem} keys {sorted(names)}")
+        elif unknown:
+            raise ValueError(f"{source}: unknown config keys {[prefix + name for name in unknown]}")
+        return {name: checked_copy(item, value.get(name, item), source, prefix + name)
+                for name, item in default.items()}
     if isinstance(default, list):
-        for j, item in enumerate(value):
-            _check_kind(default[0], item, source, f"{key}[{j}]")
-
-
-def _merge_into(out: dict, override: dict, source: str, path: str = "") -> None:
-    """Merge ``override`` into ``out``, a private copy of the defaults, copying
-    only the override's values."""
-    unknown = [f"{path}{key}" for key in override if key not in out]
-    if unknown:
-        raise ValueError(f"{source}: unknown config keys {unknown}")
-    for key, value in override.items():
-        _check_kind(out[key], value, source, f"{path}{key}")
-        if isinstance(value, dict):  # and so is the default, by the kind check above
-            _merge_into(out[key], value, source, f"{path}{key}.")
-        else:
-            out[key] = copy.deepcopy(value)
-
-
-def _check_stages(stages: list, source: str) -> None:
-    """Each ``model.stages`` entry has exactly the default entry's keys, each of its kind."""
-    default = DEFAULT_CONFIG["model"]["stages"][0]
-    for i, entry in enumerate(stages):
-        for problem, keys in (("unknown", set(entry) - set(default)), ("missing", set(default) - set(entry))):
-            if keys:
-                raise ValueError(f"model.stages[{i}]: {problem} keys {sorted(keys)}")
-        for key, want in default.items():
-            _check_kind(want, entry[key], source, f"model.stages[{i}].{key}")
-
-
-def _check_ranges(cfg: dict, source: str) -> None:
-    for key, interval in RANGES.items():
-        value = cfg
-        for name in key.split("."):
-            value = value[name]
+        return [checked_copy(default[0], item, source, f"{key}[{j}]") for j, item in enumerate(value)]
+    if isinstance(default, int) and not isinstance(value, int):
+        raise _key_error(source, key, f"must be an integer, got {value!r}")
+    interval = RANGES.get(key)
+    if interval is not None:
         low, high = (float(end) for end in interval[1:-1].split(","))
         above = low <= value if interval[0] == "[" else low < value
         below = value <= high if interval[-1] == "]" else value < high
         if not (above and below):
-            raise ValueError(f"{source}: config key '{key}' must be in {interval}, got {value!r}")
+            raise _key_error(source, key, f"must be in {interval}, got {value!r}")
+    return value
 
 
 def load_config(path) -> dict:
     """Read a config file, fill defaults and validate."""
-    with open(path) as fp:
-        raw = json.load(fp)
+    try:
+        with open(path) as fp:
+            raw = json.load(fp)
+    except ValueError as e:
+        raise ValueError(f"{path}: bad JSON ({e})") from None
     return normalize_config(raw, source=str(path))
 
 
 def normalize_config(raw: dict, source: str = "<dict>") -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{source}: a config must be a JSON object, got {type(raw).__name__}")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{source}: schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
-    cfg = default_config()
-    _merge_into(cfg, raw, source)
-    _check_stages(cfg["model"]["stages"], source)
-    _check_ranges(cfg, source)
+    cfg = checked_copy(DEFAULT_CONFIG, raw, source)
     if cfg["fuser"] not in FUSER_NAMES:
         raise ValueError(f"{source}: unknown fuser {cfg['fuser']!r}")
     # Fail early on an invalid data section and on inconsistent fusion geometry.

@@ -33,7 +33,7 @@ from . import tensor as T
 from .interleave import (TAKE_OP, RowIndex, build_layout, channel_stack, ocf_flatten, ocf_unflatten, patch,
                          row_window, unpatch)
 from .ssm import MambaBlockParams, init_block, stack_forward
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, parameter
 
 __all__ = [
     "patch",
@@ -150,16 +150,12 @@ class StageResult:
 def init_stage(config: StageConfig, rng: np.random.Generator) -> StageParams:
     """Seeded stage parameters named after ``config.name``. The aggregation is
     zeroed, making the whole stage an exact identity until training moves it."""
-    c = config.channels
-    d = config.head_dim
-
-    def p(name, arr):
-        return Tensor(arr, name=f"{config.name}.{name}", trainable=True)
-
+    c, d, name = config.channels, config.head_dim, config.name
+    pos = rng.normal(0.0, 0.02, size=(config.height, config.width, c)).astype(np.float32)
     emb = EmbeddingSet(
-        pos=p("emb.pos", rng.normal(0.0, 0.02, size=(config.height, config.width, c)).astype(np.float32)),
-        rgb=p("emb.rgb", rng.normal(0.0, 0.02, size=c).astype(np.float32)),
-        thermal=p("emb.thermal", rng.normal(0.0, 0.02, size=c).astype(np.float32)),
+        pos=parameter(pos, f"{name}.emb.pos"),
+        rgb=parameter(rng.normal(0.0, 0.02, size=c).astype(np.float32), f"{name}.emb.rgb"),
+        thermal=parameter(rng.normal(0.0, 0.02, size=c).astype(np.float32), f"{name}.emb.thermal"),
     )
     heads = []
     for i, s in enumerate(config.patch_sizes):
@@ -174,16 +170,16 @@ def init_stage(config: StageConfig, rng: np.random.Generator) -> StageParams:
                 conv_kernel=config.conv_kernel,
                 expand=config.expand,
                 dt_rank=config.dt_rank,
-                prefix=f"{config.name}.head{i}.layer{j}",
+                prefix=f"{name}.head{i}.layer{j}",
             )
             for j in range(config.layers)
         ]
         heads.append(
             HeadParams(
                 patch_size=s,
-                w_in=p(f"head{i}.w_in", w_in),
-                out_w=p(f"head{i}.out_linear.w", out_w),
-                out_b=p(f"head{i}.out_linear.b", np.zeros(packed, dtype=np.float32)),
+                w_in=parameter(w_in, f"{name}.head{i}.w_in"),
+                out_w=parameter(out_w, f"{name}.head{i}.out_linear.w"),
+                out_b=parameter(np.zeros(packed, dtype=np.float32), f"{name}.head{i}.out_linear.b"),
                 blocks=blocks,
             )
         )
@@ -191,8 +187,8 @@ def init_stage(config: StageConfig, rng: np.random.Generator) -> StageParams:
         config=config,
         embeddings=emb,
         heads=heads,
-        agg_w=p("agg.w", np.zeros((config.heads * c, c), dtype=np.float32)),
-        agg_b=p("agg.b", np.zeros(c, dtype=np.float32)),
+        agg_w=parameter(np.zeros((config.heads * c, c), dtype=np.float32), f"{name}.agg.w"),
+        agg_b=parameter(np.zeros(c, dtype=np.float32), f"{name}.agg.b"),
     )
 
 

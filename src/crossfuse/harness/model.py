@@ -25,7 +25,7 @@ from .. import tensor as T
 from ..config import backbone_widths, stage_configs_from, FUSER_NAMES, STAGE_NAMES, STAGE_STRIDES
 from ..interleave import patch
 from ..temporal import FeaturePair, FusionModel, build_model, fuse_clip, swap_parameters, walk_parameters
-from ..tensor import ShapeError, Tensor
+from ..tensor import ShapeError, Tensor, parameter
 
 __all__ = ["DetectionModel", "FUSER_NAMES", "PRED_CHANNELS"]
 
@@ -59,10 +59,7 @@ class DetectionModel:
                 w = rng.normal(0.0, fan_in ** -0.5, size=(fan_in, out_ch)).astype(np.float32)
                 b = np.zeros(out_ch, dtype=np.float32)
                 prefix = f"backbone.{modality}.{stage}"
-                self.backbone[(modality, stage)] = {
-                    "w": Tensor(w, name=f"{prefix}.w", trainable=True),
-                    "b": Tensor(b, name=f"{prefix}.b", trainable=True),
-                }
+                self.backbone[(modality, stage)] = {"w": parameter(w, f"{prefix}.w"), "b": parameter(b, f"{prefix}.b")}
                 in_ch = out_ch
 
         self.fusion: Optional[FusionModel] = None
@@ -74,10 +71,7 @@ class DetectionModel:
             c = self.widths[stage]
             w = rng.normal(0.0, c ** -0.5, size=(c, PRED_CHANNELS)).astype(np.float32)
             b = np.zeros(PRED_CHANNELS, dtype=np.float32)
-            self.heads[stage] = {
-                "w": Tensor(w, name=f"head.{stage}.w", trainable=True),
-                "b": Tensor(b, name=f"head.{stage}.b", trainable=True),
-            }
+            self.heads[stage] = {"w": parameter(w, f"head.{stage}.w"), "b": parameter(b, f"head.{stage}.b")}
 
     # -- parameters -----------------------------------------------------
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..config import SyntheticClipSpec
+from ..config import SyntheticClipSpec, checked_copy, json_kind
 from ..tensor import Tensor
 from ..tensorio import load_tensor, save_tensor
 from ..metrics import Box
@@ -36,7 +36,7 @@ __all__ = ["SyntheticClipSpec", "RenderParams", "gen_clips", "load_dataset", "Cl
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = 2
 _BOX_KEYS = frozenset(("x", "y", "w", "h"))
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+_SPEC_DEFAULTS = SyntheticClipSpec().to_dict()
 
 
 @dataclass(frozen=True)
@@ -54,22 +54,12 @@ class RenderParams:
     thermal_background: float = 0.10
 
 
-def _spec_from_dict(d: dict) -> SyntheticClipSpec:
-    """Inverse of ``SyntheticClipSpec.to_dict``: exactly the fields, each of its default's
-    JSON kind (a float field also takes an integer); ``__post_init__`` then
-    checks the ranges. Errors name the key as ``spec.<field>``."""
-    if type(d) is not dict:
-        raise ValueError(f"spec: must be an object, got {type(d).__name__}")
-    defaults = {f.name: f.default for f in fields(SyntheticClipSpec)}
-    for problem, keys in (("unknown", d.keys() - defaults.keys()), ("missing", defaults.keys() - d.keys())):
-        if keys:
-            raise ValueError(f"spec: {problem} keys {sorted(keys)}")
-    for name, default in defaults.items():
-        kinds = (int, float) if type(default) is float else (type(default),)
-        if type(d[name]) not in kinds:
-            raise ValueError(f"spec.{name}: must be {_KIND_NAMES[kinds[0]]}, got {d[name]!r}")
+def _spec_from_dict(d) -> SyntheticClipSpec:
+    """Inverse of ``SyntheticClipSpec.to_dict``: ``checked_copy`` checks the keys and
+    kinds as ``spec.<field>``, then ``__post_init__`` checks the ranges."""
+    values = checked_copy(_SPEC_DEFAULTS, d, None, "spec")
     try:
-        return SyntheticClipSpec(**d)
+        return SyntheticClipSpec(**values)
     except ValueError as e:
         raise ValueError(f"spec: {e}") from None
 
@@ -205,19 +195,19 @@ def _manifest_error(at: str, problem: str) -> ValueError:
 
 def _row_error(row, at: str, kinds: tuple) -> ValueError:
     """The error for a manifest row that failed its check: not an object, or a
-    key of ``kinds`` ((key, type), ...) missing or of another type."""
+    key of ``kinds`` ((key, example value), ...) missing or of another type."""
     if type(row) is not dict:
         return _manifest_error(at, f"must be an object, got {type(row).__name__}")
-    for key, kind in kinds:
+    for key, example in kinds:
         if key not in row:
             return _manifest_error(f"{at}.{key}", "missing")
-        if type(row[key]) is not kind:
-            return _manifest_error(f"{at}.{key}", f"must be {_KIND_NAMES[kind]}, got {type(row[key]).__name__}")
+        if type(row[key]) is not type(example):
+            return _manifest_error(f"{at}.{key}", f"must be {json_kind(example)}, got {type(row[key]).__name__}")
     raise AssertionError(f"{at} passes its check")
 
 
-_CLIP_KINDS = (("id", str), ("tag", str), ("frames", list))
-_FRAME_KINDS = (("frame_id", str), ("rgb", str), ("thermal", str), ("boxes", list))
+_CLIP_KINDS = (("id", ""), ("tag", ""), ("frames", []))
+_FRAME_KINDS = (("frame_id", ""), ("rgb", ""), ("thermal", ""), ("boxes", []))
 _NUMBER = frozenset((int, float))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .. import tensor as T
 from ..config import STAGE_NAMES, STAGE_STRIDES, config_model_hash
 from ..metrics import Box
-from ..tensor import Graph, ShapeError, Tensor, backward, register_op
+from ..tensor import Graph, ShapeError, Tensor, backward, parameter, register_op
 from ..temporal import NonFiniteFrameError
 from ..tensorio import save_checkpoint
 from .model import PRED_CHANNELS, DetectionModel
@@ -195,7 +195,7 @@ class SGD:
             np.multiply(v, self.momentum, out=v)
             np.add(v, g.data, out=v)
             step = self.lr * v
-            out[name] = Tensor(np.subtract(p.data, step, out=step), name=name, trainable=True)
+            out[name] = parameter(np.subtract(p.data, step, out=step), name)
         return out
 
 

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import GraphError, ShapeError, Tensor, register_op
+from .tensor import GraphError, ShapeError, Tensor, parameter, register_op
 
 __all__ = [
     "SSMParams",
@@ -317,16 +317,13 @@ def init_ssm(
     dt_bias = np.log(np.expm1(dt)).astype(np.float32)  # softplus inverse
     w_out = rng.normal(0.0, state_size ** -0.5, size=(channels, state_size)).astype(np.float32)
 
-    def p(name, arr):
-        return Tensor(arr, name=f"{prefix}.{name}", trainable=True)
-
     return SSMParams(
-        a_log=p("A_log", a_log),
-        w_b=p("w_b", w_b),
-        dt_down=p("dt_down", dt_down),
-        dt_up=p("dt_up", dt_up),
-        dt_bias=p("dt_bias", dt_bias),
-        w_out=p("w_out", w_out),
+        a_log=parameter(a_log, f"{prefix}.A_log"),
+        w_b=parameter(w_b, f"{prefix}.w_b"),
+        dt_down=parameter(dt_down, f"{prefix}.dt_down"),
+        dt_up=parameter(dt_up, f"{prefix}.dt_up"),
+        dt_bias=parameter(dt_bias, f"{prefix}.dt_bias"),
+        w_out=parameter(w_out, f"{prefix}.w_out"),
     )
 
 
@@ -344,23 +341,20 @@ def init_block(
     inner = expand * dim
     rank = dt_rank if dt_rank is not None else default_dt_rank(dim)
 
-    def p(name, arr):
-        return Tensor(arr, name=f"{prefix}.{name}", trainable=True)
-
     in_w = rng.normal(0.0, dim ** -0.5, size=(dim, inner)).astype(np.float32)
     gate_w = rng.normal(0.0, dim ** -0.5, size=(dim, inner)).astype(np.float32)
     kb = conv_kernel ** -0.5
     conv_k = rng.uniform(-kb, kb, size=(conv_kernel, inner)).astype(np.float32)
     ssm = init_ssm(rng, inner, state_size=state_size, dt_rank=rank, prefix=f"{prefix}.ssm")
     return MambaBlockParams(
-        norm_gamma=p("norm.gamma", np.ones(dim, dtype=np.float32)),
-        norm_beta=p("norm.beta", np.zeros(dim, dtype=np.float32)),
-        in_w=p("in_proj.w", in_w),
-        conv_k=p("conv.w", conv_k),
-        conv_b=p("conv.b", np.zeros(inner, dtype=np.float32)),
-        gate_w=p("gate.w", gate_w),
-        out_w=p("out_proj.w", np.zeros((inner, dim), dtype=np.float32)),
-        out_b=p("out_proj.b", np.zeros(dim, dtype=np.float32)),
+        norm_gamma=parameter(np.ones(dim, dtype=np.float32), f"{prefix}.norm.gamma"),
+        norm_beta=parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.norm.beta"),
+        in_w=parameter(in_w, f"{prefix}.in_proj.w"),
+        conv_k=parameter(conv_k, f"{prefix}.conv.w"),
+        conv_b=parameter(np.zeros(inner, dtype=np.float32), f"{prefix}.conv.b"),
+        gate_w=parameter(gate_w, f"{prefix}.gate.w"),
+        out_w=parameter(np.zeros((inner, dim), dtype=np.float32), f"{prefix}.out_proj.w"),
+        out_b=parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.out_proj.b"),
         ssm=ssm,
     )
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .fusion import StageConfig, StageParams, StageResult, init_stage, stage_forward
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, parameter
 from .tensorio import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -126,7 +126,7 @@ def swap_parameters(root, updated: dict[str, Tensor]) -> None:
             raise ShapeError(f"{name}: shape {new.shape} != expected {old.shape}")
     for name, new in updated.items():
         holder, key, _ = slots[name]
-        t = new if new.trainable and new.name == name else Tensor(new.data, name=name, trainable=True)
+        t = new if new.trainable and new.name == name else parameter(new.data, name)
         if isinstance(holder, (list, dict)):
             holder[key] = t
         else:

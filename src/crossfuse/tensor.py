@@ -107,7 +107,8 @@ class Tensor:
 
 
 def parameter(value, name: str) -> Tensor:
-    return Tensor(np.asarray(value), name=name, trainable=True)
+    """A trainable tensor named ``name``; every model parameter is built here."""
+    return Tensor(value, name=name, trainable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +273,7 @@ def grad_check(f: Callable[[dict[str, Tensor]], Tensor], params: dict[str, Tenso
         raise ValueError(f"eps must be positive, got {eps}")
     if not params:
         raise ValueError("grad_check needs at least one parameter")
-    p64 = {
-        k: Tensor(v.data.astype(np.float64), name=k, trainable=True)
-        for k, v in params.items()
-    }
+    p64 = {k: parameter(v.data.astype(np.float64), k) for k, v in params.items()}
 
     y1 = f(dict(p64))
     y2 = f(dict(p64))
@@ -303,9 +301,9 @@ def grad_check(f: Callable[[dict[str, Tensor]], Tensor], params: dict[str, Tenso
             minus = base.copy()
             minus[key] -= eps
             trial = dict(p64)
-            trial[name] = Tensor(plus, name=name, trainable=True)
+            trial[name] = parameter(plus, name)
             y_plus = f(trial).item()
-            trial[name] = Tensor(minus, name=name, trainable=True)
+            trial[name] = parameter(minus, name)
             y_minus = f(trial).item()
             gn[key] = (y_plus - y_minus) / (2.0 * eps)
         denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)

@@ -31,6 +31,7 @@ from crossfuse.config import (
     STAGE_STRIDES,
     config_model_hash,
     default_config,
+    load_config,
     normalize_config,
     stage_configs_from,
 )
@@ -258,8 +259,12 @@ def _repeat_frame_id(manifest):
     (lambda m: m["spec"].update(frames=2.5), r"spec\.frames: must be an integer, got 2\.5"),
     (lambda m: m["spec"].update(stride=0), r"spec: stride must be >= 1, got 0"),
     (lambda m: m["spec"].update(blob_speed_max=-1.0), r"spec: blob_speed_max must be finite and >= 0, got -1\.0"),
+    (lambda m: m["spec"].update(frames="3"), r"spec\.frames: must be a number, got str"),
+    (lambda m: m["spec"].update(x=1), r"spec: unknown keys \['x'\]"),
+    (lambda m: m["spec"].pop("stride"), r"spec: missing keys \['stride'\]"),
+    (lambda m: m.update(spec=[m["spec"]]), r"spec: must be an object, got list"),
 ], ids=["repeated-frame_id", "frame-without-boxes", "negative-width", "float-frames", "zero-stride",
-        "negative-speed"])
+        "negative-speed", "string-frames", "extra-spec-key", "missing-spec-key", "spec-list"])
 def test_load_dataset_rejects_a_bad_manifest_entry(tmp_path, edit, error):
     manifest = _small_dataset(tmp_path)
     edit(manifest)
@@ -332,6 +337,18 @@ def test_config_rejects_bad_input():
             "schema_version": 1,
             "model": {"stages": [{"stage": "f1", "heads": 1, "patch_sizes": [1], "layers": 1}]},
         })
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[1, 2]", "a config must be a JSON object, got list"),
+    ('"x"', "a config must be a JSON object, got str"),
+    ('{"schema_version": 1, "seed": ', "bad JSON (Expecting value: line 1 column 31"),
+], ids=["array", "string", "truncated"])
+def test_load_config_names_the_file_of_a_config_that_is_not_an_object(tmp_path, text, problem):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+        load_config(path)
 
 
 @pytest.mark.parametrize("raw, key", [
