@@ -142,10 +142,18 @@ def default_config() -> dict:
 # JSON kinds in match order: bool before number, as True is an int.
 _JSON_KINDS = (("a boolean", bool), ("a number", numbers.Real), ("a string", str),
                ("an array", (list, tuple)), ("an object", dict))
+# The same words for the exact types that JSON and the defaults hold.
+_EXACT_KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+                list: "an array", tuple: "an array", dict: "an object"}
 
 
 def json_kind(value) -> str:
-    """The JSON kind of ``value`` in the words errors use, such as ``an array``."""
+    """The JSON kind of ``value`` in the words errors use, such as ``an array``.
+    Exact types are looked up; anything else, such as a numpy scalar, is
+    matched through ``_JSON_KINDS``."""
+    kind = _EXACT_KINDS.get(type(value))
+    if kind is not None:
+        return kind
     return next((kind for kind, types in _JSON_KINDS if isinstance(value, types)), type(value).__name__)
 
 

@@ -23,8 +23,9 @@ built and then cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -46,10 +47,13 @@ class RowIndex:
 
     Checked once, when built: ``index`` is 1-d, in range and free of repeats.
     It is then read-only, so ``take_rows`` trusts it and its adjoint assigns.
+    ``window`` is the same rows as a slice when they are one ascending run,
+    such as a ``row_window``, and ``None`` otherwise.
     """
 
     index: np.ndarray
     source: int
+    window: Optional[slice] = field(init=False, repr=False)
 
     def __post_init__(self):
         idx = np.array(self.index)
@@ -63,6 +67,8 @@ class RowIndex:
             raise ShapeError("row index repeats a row")
         idx.flags.writeable = False
         object.__setattr__(self, "index", idx)
+        run = idx.size > 0 and bool(np.all(np.diff(idx) == 1))
+        object.__setattr__(self, "window", slice(int(idx[0]), int(idx[-1]) + 1) if run else None)
 
 
 def _take_rows_fwd(*arrays, rows, width, shape):
@@ -76,14 +82,17 @@ def _take_rows_fwd(*arrays, rows, width, shape):
     stacked = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if stacked.shape[0] != rows.source:
         raise ShapeError(f"take_rows: index is over {rows.source} rows, inputs have {stacked.shape[0]}")
-    return stacked[rows.index].reshape(shape), {"rows": rows, "shapes": [a.shape for a in arrays]}
+    # A window is taken as a slice, which is cheaper than fancy indexing, and
+    # copied, so the output keeps no input alive.
+    picked = stacked[rows.index] if rows.window is None else stacked[rows.window].copy()
+    return picked.reshape(shape), {"rows": rows, "shapes": [a.shape for a in arrays]}
 
 
 def _take_rows_bwd(ctx, g):
     rows = ctx["rows"]
     g_rows = g.reshape(rows.index.size, -1)
     stacked = np.zeros((rows.source, g_rows.shape[1]), dtype=g.dtype)
-    stacked[rows.index] = g_rows
+    stacked[rows.index if rows.window is None else rows.window] = g_rows
     grads, start = [], 0
     for shape in ctx["shapes"]:
         n = math.prod(shape) // g_rows.shape[1]

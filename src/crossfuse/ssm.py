@@ -16,19 +16,21 @@ stable regardless of parameter values.
 The whole sequence runs as one kernel, ``_scan_fwd``: the B and delta
 projections, the softplus, A = -exp(a_log), the recurrence and the readout
 y = sum_n w_out * h in one call, with its adjoint ``_scan_bwd`` written out
-by hand. The pair is the whole scan: no helper sits below it but
-``_decay``, the one expression for exp(delta A), and the forward hands the
-adjoint one flat context. The states ``h_all`` are the only (L, C, N) array
-in it; the adjoint recomputes exp(delta A) rather than keep it, and both
-directions reuse their (L, C, N) buffers in place, with the same bits as
-fresh arrays. Only ``mamba_block`` differentiates the scan. ``scan_sequence``
+by hand. The pair is the whole scan: no helpers sit below it but
+``_decay``, the one expression for exp(delta A), and ``_states``, the one
+recurrence, and the forward hands the adjoint one flat context. That context
+holds no (L, C, N) array: the adjoint recomputes exp(delta A) and the states
+with the same two helpers, Mamba's recompute-in-backward, and both directions
+reuse their (L, C, N) buffers in place, with the same bits as fresh arrays.
+Only ``mamba_block`` differentiates the scan. ``scan_sequence``
 and ``scan_step`` (the same kernel on a one-token sequence, for streaming
 inference) are plain forward calls of it that record nothing, so they refuse
 to run while a ``Graph`` records.
 
 A gated residual block is likewise one op, ``mamba_block``: layer norm, the
 in-projection, the causal conv, silu, the scan, the silu gate and the
-residual output projection.
+residual output projection. Its adjoint rebuilds the gate and the gated
+product rather than keep them.
 """
 
 from __future__ import annotations
@@ -136,16 +138,33 @@ def _decay(delta, a):
     return np.exp(d_a, out=d_a)
 
 
-def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
+def _states(delta, x, b_seq, d_a, state0):
+    """The states h (L, C, N) of h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t,
+    each built in place on its row of delta B x. Each product
+    exp(delta_t A) h_{t-1} goes through one (C, N) scratch buffer, so ``d_a``
+    is left intact."""
+    # delta B x as a broadcast product, not an einsum: einsum sums into zeros
+    # and so turns a -0.0 product into +0.0.
+    h_all = (delta * x)[:, :, None] * b_seq[:, None, :]
+    product = np.empty_like(d_a[0])
+    h = state0
+    multiply, add = np.multiply, np.add  # bound once, and out by position: the loop runs per token
+    for d_a_t, h_t in zip(d_a, h_all):
+        add(multiply(d_a_t, h, product), h_t, h_t)
+        h = h_t
+    return h_all
+
+
+def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None, last=None):
     """The whole selective scan as one kernel, y (L, C) from tokens x (L, C).
 
     Projects B and delta from the tokens, takes A = -exp(a_log), runs the
     recurrence h_t = exp(delta_t A) h_{t-1} + delta_t B_t x_t and reads out
-    y = sum_n w_out * h. It holds two (L, C, N) arrays: exp(delta A), whose
-    rows take the products exp(delta_t A) h_{t-1}, and delta B x, whose rows
-    become the states. The states h (L, C, N) are the one such array in the
-    context, as ``ctx["h_all"]``; ``_scan_bwd`` recomputes exp(delta A).
-    ``state0`` is read, never written.
+    y = sum_n w_out * h. It builds two (L, C, N) arrays, exp(delta A) and the
+    states, and keeps neither: the context holds only what ``_scan_bwd``
+    reads, which rebuilds both with the same expressions. ``last``, if
+    given, is a (C, N) array that receives the last state. ``state0`` is
+    read, never written.
     """
     if state0 is None:
         state0 = np.zeros((x.shape[1], a_log.shape[1]), dtype=x.dtype)
@@ -155,33 +174,30 @@ def _scan_fwd(x, w_b, dt_down, dt_up, dt_bias, a_log, w_out, state0=None):
     delta, c_softplus = T._softplus_fwd(up + dt_bias)
     e_a = np.exp(a_log)                                 # A = -e_a, (C, N)
     a = -e_a
-    d_a = _decay(delta, a)
-    # delta B x as a broadcast product, not an einsum: einsum sums into zeros
-    # and so turns a -0.0 product into +0.0.
-    h_all = (delta * x)[:, :, None] * b_seq[:, None, :]
-    h = state0
-    for d_a_t, h_t in zip(d_a, h_all):
-        np.multiply(d_a_t, h, out=d_a_t)
-        np.add(d_a_t, h_t, out=h_t)
-        h = h_t
+    h_all = _states(delta, x, b_seq, _decay(delta, a), state0)
+    if last is not None:
+        last[...] = h_all[-1]
     y = np.einsum("lcn,cn->lc", h_all, w_out)
     ctx = {"x": x, "b": c_b, "low": c_low, "up": c_up, "softplus": c_softplus, "delta": delta,
-           "b_seq": b_seq, "a": a, "e_a": e_a, "state0": state0, "h_all": h_all, "w_out": w_out}
+           "b_seq": b_seq, "a": a, "e_a": e_a, "state0": state0, "w_out": w_out}
     return y, ctx
 
 
 def _scan_bwd(ctx, g):
-    """Adjoint of ``_scan_fwd``. Recomputes exp(delta A) as the forward did,
-    turns the state gradients into the delta B x gradients in place, then
-    uses the spent exp(delta A) buffer for each product it reduces."""
+    """Adjoint of ``_scan_fwd``. Recomputes exp(delta A) and the states as
+    the forward did, turns the state gradients into the delta B x gradients
+    in place, then uses the spent exp(delta A) buffer for each product it
+    reduces."""
     x, delta, b_seq, a = ctx["x"], ctx["delta"], ctx["b_seq"], ctx["a"]
-    state0, h_all = ctx["state0"], ctx["h_all"]
+    state0 = ctx["state0"]
     d_a = _decay(delta, a)
+    h_all = _states(delta, x, b_seq, d_a, state0)
     g_w_out = np.einsum("lc,lcn->cn", g, h_all)
     g_dbx = g[:, :, None] * ctx["w_out"]                   # the state gradients until the loop
     acc = np.zeros_like(state0)
-    for t in range(x.shape[0] - 1, 0, -1):
-        acc = d_a[t] * np.add(acc, g_dbx[t], out=g_dbx[t])
+    multiply, add = np.multiply, np.add
+    for d_a_t, g_t in zip(d_a[:0:-1], g_dbx[:0:-1]):       # t = L-1 down to 1
+        multiply(d_a_t, add(acc, g_t, g_t), acc)
     np.add(acc, g_dbx[0], out=g_dbx[0])
     g_da = np.empty_like(d_a)                              # g_dbx times the previous state
     np.multiply(g_dbx[0], state0, out=g_da[0])
@@ -220,11 +236,13 @@ def scan_sequence(params: SSMParams, tokens: Tensor, state0: Optional[SSMState] 
         raise ShapeError(f"scan_sequence: tokens have {channels} channels, params expect {params.channels}")
     if state0 is not None and state0.h.shape != (channels, params.state_size):
         raise ShapeError(f"scan_sequence: state shape {state0.h.shape} != {(channels, params.state_size)}")
-    y, ctx = _scan_fwd(tokens.data, params.w_b.data, params.dt_down.data, params.dt_up.data,
-                       params.dt_bias.data, params.a_log.data, params.w_out.data,
-                       state0=None if state0 is None else state0.h.data)
-    # A copy, so the state does not keep the whole (L, C, N) h_all alive.
-    return Tensor(y), SSMState(Tensor(ctx["h_all"][-1].copy()))
+    arrays = (tokens.data, params.w_b.data, params.dt_down.data, params.dt_up.data,
+              params.dt_bias.data, params.a_log.data, params.w_out.data)
+    # The last state is copied out, so it does not keep the whole sequence's
+    # states alive. Its dtype is that of delta B x, from the first five arrays.
+    last = np.empty((channels, params.state_size), dtype=np.result_type(*arrays[:5]))
+    y, _ = _scan_fwd(*arrays, state0=None if state0 is None else state0.h.data, last=last)
+    return Tensor(y), SSMState(Tensor(last))
 
 
 def scan_step(params: SSMParams, x_t: Tensor, state: SSMState) -> tuple[Tensor, SSMState]:
@@ -374,13 +392,18 @@ def _block_fwd(tokens, norm_gamma, norm_beta, in_w, conv_k, conv_b, gate_w, out_
     gm, c_gm = T._linear_fwd(n, gate_w)
     gs, c_gs = T._silu_fwd(gm)
     o, c_o = T._linear_fwd(y * gs, out_w, out_b)
-    return tokens + o, (c_n, c_a, c_c, c_s, c_y, y, c_gm, c_gs, gs, c_o)
+    del c_o["x"]  # the gated product; the adjoint rebuilds it, and the gate, from c_gs and y
+    return tokens + o, (c_n, c_a, c_c, c_s, c_y, y, c_gm, c_gs, c_o)
 
 
 def _block_bwd(ctx, g):
-    """n sums the gate and in-projection gradients, then tokens sums the
-    residual and norm gradients, in the order a tape accumulates them."""
-    c_n, c_a, c_c, c_s, c_y, y, c_gm, c_gs, gs, c_o = ctx
+    """Rebuilds the gate silu(n @ gate_w) and the gated product with the
+    forward's multiplies. n sums the gate and in-projection gradients, then
+    tokens sums the residual and norm gradients, in the order a tape
+    accumulates them."""
+    c_n, c_a, c_c, c_s, c_y, y, c_gm, c_gs, c_o = ctx
+    gs = c_gs["x"] * c_gs["s"]
+    c_o["x"] = y * gs
     g_mixed, g_out_w, g_out_b = T._linear_bwd(c_o, g)
     g_gm, = T._silu_bwd(c_gs, g_mixed * y)
     g_n_gate, g_gate_w = T._linear_bwd(c_gm, g_gm)

@@ -16,6 +16,7 @@ path.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -59,10 +60,12 @@ class Tensor:
 
     ``trainable`` tensors must carry a ``name``; gradient maps are keyed by
     that name. Data is stored C-contiguous and marked read-only, so a Tensor
-    can be shared freely between graphs and threads.
+    can be shared freely between graphs and threads. ``producer`` is the
+    (graph serial, node position) of the recorded op that made the tensor,
+    or ``None`` for a leaf: a parameter, a constant, or an unrecorded result.
     """
 
-    __slots__ = ("data", "name", "trainable")
+    __slots__ = ("data", "name", "trainable", "producer")
 
     def __init__(self, data, name: Optional[str] = None, trainable: bool = False):
         arr = np.asarray(data)
@@ -79,6 +82,7 @@ class Tensor:
         self.data = arr
         self.name = name
         self.trainable = trainable
+        self.producer: Optional[tuple[int, int]] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,15 +140,22 @@ def register_op(kind: str, forward: Callable, backward: Callable) -> None:
 
 @dataclass(slots=True)
 class Node:
-    """One recorded op. ``backward`` is the adjoint the registry held for the
-    kind when the op ran, so ``backward()`` needs no registry lookup. ``ctx``
-    is ``None`` once ``backward()`` has passed the node."""
+    """One recorded op. Each of ``inputs`` is the position of the node that
+    produced it, or a leaf ``Tensor`` itself; ``shape`` is the op's output
+    shape, which the gradient-shape check of its consumers reads. The op's
+    output is not kept, so the tape holds an array only where ``ctx``, the
+    adjoint's context, does. ``backward`` is the adjoint the registry held
+    for the kind when the op ran, so ``backward()`` needs no registry lookup.
+    ``ctx`` is ``None`` once ``backward()`` has passed the node."""
 
     kind: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
+    inputs: tuple
+    shape: tuple[int, ...]
     ctx: object
     backward: Callable
+
+
+_graph_serials = itertools.count()
 
 
 class Graph:
@@ -153,12 +164,14 @@ class Graph:
     Use as a context manager; ops executed inside the ``with`` block are
     appended. A graph expects a single recording thread, but independent
     graphs on different threads do not interfere (the active-graph stack is
-    thread-local). ``backward`` runs once per graph: it frees each node's
-    context as it goes and marks the graph ``spent``. The nodes stay.
+    thread-local). ``serial`` tells this graph's outputs from those of any
+    other. ``backward`` runs once per graph: it frees each node's context as
+    it goes and marks the graph ``spent``.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.serial = next(_graph_serials)
         self.spent = False
 
     def __enter__(self) -> "Graph":
@@ -196,21 +209,31 @@ def op_forward(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     out = Tensor(out_arr)
     stack = _tls.stack
     if stack:
-        stack[-1].nodes.append(Node(kind, tuple(inputs), out, ctx, opdef.backward))
+        graph = stack[-1]
+        serial, nodes = graph.serial, graph.nodes
+        refs = []  # a loop, which is cheaper here than a generator
+        for t in inputs:
+            p = t.producer
+            refs.append(t if p is None or p[0] != serial else p[1])
+        out.producer = (serial, len(nodes))
+        nodes.append(Node(kind, tuple(refs), out_arr.shape, ctx, opdef.backward))
     return out
 
 
 def backward(graph: Graph, loss: Tensor, parameters: Iterable[Tensor]) -> dict[str, Tensor]:
     """d(loss)/d(p) for each tensor p in ``parameters``, keyed by its name.
 
-    Walks the tape once in reverse. A parameter is matched by identity, so
-    pass the very tensors the recorded ops consumed; one that never touched
-    the loss gets an explicit zero gradient. An adjoint is kept only for a
-    node's output or a parameter, never for a constant input. Each node's
-    context is set to ``None`` once its adjoint has run, so the walk frees
-    the saved activations as it goes and a graph can run backward only once.
+    Walks the tape once in reverse, with the pending output gradients in a
+    list indexed by node position. A parameter is matched by identity, so
+    pass the very leaf tensors the recorded ops consumed; one that never
+    touched the loss gets an explicit zero gradient. An adjoint is kept only
+    for a node's output or a parameter, never for a constant input. Each
+    node's context is set to ``None`` once its adjoint has run, so the walk
+    frees the saved activations as it goes and a graph can run backward only
+    once.
     """
-    if not graph.nodes:
+    nodes = graph.nodes
+    if not nodes:
         raise GraphError("cannot run backward on an empty graph")
     if graph.spent:
         raise GraphError("backward already ran on this graph and freed its contexts")
@@ -219,10 +242,15 @@ def backward(graph: Graph, loss: Tensor, parameters: Iterable[Tensor]) -> dict[s
     parameters = list(parameters)
     graph.spent = True
     wanted = {id(p) for p in parameters}
-    wanted.update(id(node.output) for node in graph.nodes)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(graph.nodes):
-        g_out = grads.pop(id(node.output), None)
+    pending: list[Optional[np.ndarray]] = [None] * len(nodes)
+    leaf_grads: dict[int, np.ndarray] = {}
+    if loss.producer is not None and loss.producer[0] == graph.serial:
+        pending[loss.producer[1]] = np.ones_like(loss.data)
+    else:
+        leaf_grads[id(loss)] = np.ones_like(loss.data)
+    for pos in range(len(nodes) - 1, -1, -1):
+        node = nodes[pos]
+        g_out, pending[pos] = pending[pos], None
         if g_out is None:
             node.ctx = None
             continue
@@ -230,19 +258,25 @@ def backward(graph: Graph, loss: Tensor, parameters: Iterable[Tensor]) -> dict[s
         node.ctx = None
         if len(in_grads) != len(node.inputs):
             raise GraphError(f"{node.kind}: backward returned {len(in_grads)} grads for {len(node.inputs)} inputs")
-        for t, g in zip(node.inputs, in_grads):
+        for ref, g in zip(node.inputs, in_grads):
             if g is None:
                 continue
-            if g.shape != t.shape:
-                raise GraphError(f"{node.kind}: gradient shape {g.shape} != input shape {t.shape}")
-            key = id(t)
+            produced = type(ref) is int
+            shape = nodes[ref].shape if produced else ref.shape
+            if g.shape != shape:
+                raise GraphError(f"{node.kind}: gradient shape {g.shape} != input shape {shape}")
+            if produced:
+                prev = pending[ref]
+                pending[ref] = g if prev is None else prev + g
+                continue
+            key = id(ref)
             if key not in wanted:
                 continue
-            prev = grads.get(key)
-            grads[key] = g if prev is None else prev + g
+            prev = leaf_grads.get(key)
+            leaf_grads[key] = g if prev is None else prev + g
     out: dict[str, Tensor] = {}
     for p in parameters:
-        g = grads.get(id(p))
+        g = leaf_grads.get(id(p))
         out[p.name] = Tensor(g) if g is not None else Tensor(np.zeros_like(p.data))
     return out
 

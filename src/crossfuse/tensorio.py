@@ -118,8 +118,9 @@ def save_checkpoint(dirpath, tensors: dict[str, Tensor], metadata: Optional[dict
 
 
 def load_checkpoint(dirpath) -> tuple[dict[str, Tensor], dict]:
-    """Read a checkpoint written by ``save_checkpoint``. A malformed index or
-    a record that does not match it raises ``TensorFormatError``."""
+    """Read a checkpoint written by ``save_checkpoint``. A malformed index, a
+    record that does not match it, or bytes after the last record raise
+    ``TensorFormatError``."""
     d = Path(dirpath)
     index_path = d / INDEX_NAME
     data_path = d / DATA_NAME
@@ -140,6 +141,7 @@ def load_checkpoint(dirpath) -> tuple[dict[str, Tensor], dict]:
     if not isinstance(metadata, dict):
         raise TensorFormatError(f"{index_path}: metadata must be an object, got {type(metadata).__name__}")
     tensors: dict[str, Tensor] = {}
+    end = 0  # the end of the last record
     with open(data_path, "rb") as fp:
         for i, entry in enumerate(entries):
             if not (isinstance(entry, dict) and {"name", "offset", "shape"} <= entry.keys()
@@ -160,4 +162,8 @@ def load_checkpoint(dirpath) -> tuple[dict[str, Tensor], dict]:
                     f"{name}: stored shape {list(t.shape)} != index shape {entry['shape']}"
                 )
             tensors[name] = t
+            end = max(end, fp.tell())
+        size = fp.seek(0, os.SEEK_END)
+    if size != end:
+        raise TensorFormatError(f"{data_path}: the last record ends at byte {end} of {size}")
     return tensors, metadata

@@ -17,6 +17,7 @@ from crossfuse.interleave import (
     THERMAL,
     OcfLayout,
     RowIndex,
+    _take_rows_bwd,
     build_layout,
     channel_stack,
     ocf_flatten,
@@ -216,6 +217,20 @@ def test_row_index_is_a_frozen_copy():
     np.testing.assert_array_equal(rows.index, [1, 0])
     with pytest.raises(ValueError, match="read-only"):
         rows.index[0] = 0
+
+
+def test_a_window_is_taken_as_a_copied_slice_with_the_gathers_values():
+    assert row_window(2, 3, 6).window == slice(2, 5)
+    assert RowIndex((1, 0), 2).window is None and RowIndex((0, 2), 3).window is None
+    x = Tensor(np.arange(12, dtype=np.float32).reshape(6, 2))
+    for rows in (row_window(2, 3, 6), row_window(0, 6, 6), RowIndex((3, 4, 5), 6)):
+        out = gather((x,), rows)
+        np.testing.assert_array_equal(out.data, x.data[rows.index])
+        assert not np.shares_memory(out.data, x.data)
+        g = np.arange(out.size, dtype=np.float32).reshape(out.shape) + 1
+        want = np.zeros_like(x.data)
+        want[rows.index] = g
+        np.testing.assert_array_equal(_take_rows_bwd({"rows": rows, "shapes": [x.shape]}, g)[0], want)
 
 
 def test_layout_validates_dimensions():

@@ -300,23 +300,41 @@ def test_scan_refuses_to_run_while_a_graph_records():
 
 
 def _arrays(value):
-    """Every numpy array in a kernel context, nested dicts included."""
+    """Every numpy array in a kernel context, nested dicts and tuples included."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, dict):
-        return [a for v in value.values() for a in _arrays(v)]
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
     return []
 
 
-def test_scan_context_holds_the_states_as_its_one_state_sized_array():
+def _bases(array):
+    """The array and every array it views."""
+    while array is not None:
+        yield array
+        array = array.base
+
+
+def test_scan_context_holds_no_state_sized_array_nor_a_view_of_one():
     rng = np.random.default_rng(3)
     length, channels, state = 6, 5, 3
     params = _random_params(rng, channels, state, 2)
     tokens = rng.normal(0, 1, (length, channels)).astype(np.float32)
     _, ctx = _scan_fwd(tokens, *(t.data for t in (params.w_b, params.dt_down, params.dt_up,
                                                  params.dt_bias, params.a_log, params.w_out)))
-    big = [a for a in _arrays(ctx) if a.shape == (length, channels, state)]
-    assert len(big) == 1 and big[0] is ctx["h_all"]
+    held = _arrays(ctx)
+    assert ctx["x"] is tokens
+    # The states and exp(delta A) are the scan's only arrays with a state axis
+    # over the tokens, (L, C, N) or more.
+    assert all(b.ndim < 3 for a in held for b in _bases(a))
+    block = init_block(rng, dim=4, state_size=state)
+    with Graph() as g:
+        block_forward(block, Tensor(rng.normal(0, 1, (length, 4)).astype(np.float32)))
+    held = _arrays(g.nodes[0].ctx)
+    assert len(held) > 20
+    assert all(b.ndim < 3 for a in held for b in _bases(a))
 
 
 def test_scan_never_writes_into_the_callers_state():

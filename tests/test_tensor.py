@@ -1,6 +1,7 @@
 """Engine tests: op goldens, broadcasting rules, taped gradients vs central
 differences, and tape bookkeeping."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -322,6 +323,38 @@ def test_backward_frees_every_context_keeps_the_nodes_and_runs_once():
     with Graph() as again:
         y2 = C.reduce_sum(T.silu(T.add(T.linear(x, w), t32([1.0, 1.0]))))
     np.testing.assert_array_equal(backward(again, y2, [w])["w"].data, grads["w"].data)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through the references the
+    garbage collector sees."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_the_tape_keeps_no_op_output_and_an_output_reaches_no_node():
+    w = T.parameter(np.array([[1.0, -2.0], [0.5, 3.0]], np.float32), "w")
+    with Graph() as g:
+        h = T.add(T.linear(t32([[1.0, 2.0]]), w), t32([1.0, 1.0]))  # no adjoint reads add's output
+        y = C.reduce_sum(h)
+    assert h.producer == (g.serial, 1) and y.producer == (g.serial, 2)
+    assert g.nodes[1].inputs[0] == 0 and g.nodes[1].shape == (1, 2)
+    freed = weakref.ref(h.data)
+    del h
+    assert freed() is None  # while the graph still records it
+    grads = backward(g, y, [w])
+    del g
+    gc.collect()
+    assert not any(isinstance(obj, T.Node) for obj in _reachable(y))
+    assert grads["w"].producer is None
+    with Graph() as later:
+        C.reduce_sum(y)
+    assert later.nodes[0].inputs == (y,)  # another graph's output is a leaf here
 
 
 # The emitter hands back an adjoint for its constant input and keeps a weak

@@ -239,6 +239,16 @@ def test_checkpoint_names_the_entry_whose_record_is_bad(tmp_path):
         load_checkpoint(tmp_path)
 
 
+def test_checkpoint_refuses_a_byte_after_the_last_record(tmp_path):
+    save_checkpoint(tmp_path, _tensors())
+    data = tmp_path / "tensors.bin"
+    size = data.stat().st_size
+    with open(data, "ab") as fp:
+        fp.write(b"\0")
+    with pytest.raises(TensorFormatError, match=f"tensors.bin: the last record ends at byte {size} of {size + 1}"):
+        load_checkpoint(tmp_path)
+
+
 def test_checkpoint_write_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     save_checkpoint(a, _tensors(), metadata={"k": 1})
